@@ -11,6 +11,7 @@
 #include <istream>
 #include <memory>
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -88,12 +89,14 @@ class JoinEstimatorPair {
   JoinEstimatorPair(const JoinEstimatorPair&) = delete;
   JoinEstimatorPair& operator=(const JoinEstimatorPair&) = delete;
 
-  /// Applies one arrival to the F-side / G-side synopsis.
-  virtual void UpdateF(uint64_t value, int64_t weight) = 0;
-  virtual void UpdateG(uint64_t value, int64_t weight) = 0;
-
-  void UpdateF(const stream::StreamElement& e) { UpdateF(e.value, e.weight); }
-  void UpdateG(const stream::StreamElement& e) { UpdateG(e.value, e.weight); }
+  /// Applies a batch of arrivals to the F-side / G-side synopsis, identical
+  /// to applying them one by one. The sketch-backed pairs hand the batch to
+  /// their sketch's UpdateBatch kernel; sampling and partitioned AGMS loop
+  /// over it.
+  virtual void UpdateBatchF(
+      std::span<const stream::StreamElement> elements) = 0;
+  virtual void UpdateBatchG(
+      std::span<const stream::StreamElement> elements) = 0;
 
   /// Folds whole frequency vectors in (linearity; see AgmsSketch::Absorb).
   /// The sampling estimator overrides this to expand to unit inserts, since

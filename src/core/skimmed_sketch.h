@@ -235,16 +235,10 @@ class SkimmedSketch {
   /// The level-0 sketch. Exposed for white-box tests.
   const sketch::HashSketch& level0() const { return level0_; }
 
-  /// Monotone mutation epoch, forwarded from the level-0 sketch (every
-  /// answer-changing mutation touches level 0). Derived state — never
-  /// serialized, ignored by CompatibleWith. Read-side caches use it to
-  /// detect staleness in O(1); see sketch::SlimView and query::QueryCache.
-  uint64_t update_epoch() const { return level0_.update_epoch(); }
-
   /// Result of skimming a COPY of the level-0 sketch: the dense vector, the
-  /// residual ("sparse") sketch, and the threshold used. The slim half of
-  /// the skimmed-join read path (DESIGN.md §11): skim once per refresh,
-  /// reuse across every join until the fat sketch's epoch advances.
+  /// residual ("sparse") sketch, and the threshold used. Each side skims
+  /// independently, so one skim can serve several joins of an unchanged
+  /// sketch.
   struct SkimOutput {
     DenseFrequencies dense;
     sketch::HashSketch skimmed;

@@ -187,7 +187,7 @@ class ConcurrentIngestor {
   }
 
   /// Shared (reader) lock over the shared synopsis. Hold it across the
-  /// whole read — point queries, SlimView refresh, serialization.
+  /// whole read — point queries, heavy hitters, serialization.
   ReadLock ReaderLock() const { return ReadLock(mu_); }
 
   /// Writer lock for callers that must mutate the shared synopsis directly

@@ -38,7 +38,9 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "query/engine.h"
@@ -178,19 +180,13 @@ struct ManifestRelation {
   int64_t tuple_count = 0;
 };
 
-// One manifest query line. `kind` selects which spec member is meaningful.
+// One manifest query line.
 struct ManifestQuery {
   QueryId id = 0;
   std::string kind;
   uint64_t seed = 0;
   bool supported = false;
-  JoinQuerySpec join;
-  FrequencyQuerySpec frequency;
-  DistinctCountQuerySpec distinct;
-  TopKQuerySpec topk;
-  QuantileQuerySpec quantile;
-  RangeSumQuerySpec range_sum;
-  ChainJoinQuerySpec chain;
+  QuerySpec spec;
 };
 
 struct Manifest {
@@ -237,15 +233,16 @@ StatusOr<ManifestQuery> ParseManifestQuery(std::istream& in) {
   q.supported = supported == 1;
 
   if (q.kind == "join") {
-    SKIMJOIN_ASSIGN_OR_RETURN(q.join.left_stream,
+    JoinQuerySpec& join = q.spec.emplace<JoinQuerySpec>();
+    SKIMJOIN_ASSIGN_OR_RETURN(join.left_stream,
                               ReadName(in, "join query streams"));
-    SKIMJOIN_ASSIGN_OR_RETURN(q.join.right_stream,
+    SKIMJOIN_ASSIGN_OR_RETURN(join.right_stream,
                               ReadName(in, "join query streams"));
     std::string estimator_token;
     int left_input = 0;
     int right_input = 0;
     int use_dyadic = 0;
-    core::EstimatorSpec& est = q.join.estimator;
+    core::EstimatorSpec& est = join.estimator;
     if (!(in >> estimator_token >> est.space_counters >> est.agms_num_medians >>
           est.num_tables >> est.threshold_scale >> est.recurse_slack >>
           est.skim_margin >> use_dyadic >> left_input >> right_input)) {
@@ -254,71 +251,77 @@ StatusOr<ManifestQuery> ParseManifestQuery(std::istream& in) {
     SKIMJOIN_ASSIGN_OR_RETURN(est.kind,
                               EstimatorKindFromToken(estimator_token));
     est.skimmed_use_dyadic = use_dyadic != 0;
-    q.join.left_input = left_input == 0 ? AggregateInput::kCount
+    join.left_input = left_input == 0 ? AggregateInput::kCount
+                                      : AggregateInput::kMeasure;
+    join.right_input = right_input == 0 ? AggregateInput::kCount
                                         : AggregateInput::kMeasure;
-    q.join.right_input = right_input == 0 ? AggregateInput::kCount
-                                          : AggregateInput::kMeasure;
-    SKIMJOIN_ASSIGN_OR_RETURN(q.join.left_predicate, ReadPredicate(in));
-    SKIMJOIN_ASSIGN_OR_RETURN(q.join.right_predicate, ReadPredicate(in));
+    SKIMJOIN_ASSIGN_OR_RETURN(join.left_predicate, ReadPredicate(in));
+    SKIMJOIN_ASSIGN_OR_RETURN(join.right_predicate, ReadPredicate(in));
   } else if (q.kind == "frequency") {
+    FrequencyQuerySpec& frequency = q.spec.emplace<FrequencyQuerySpec>();
     int use_dyadic = 0;
-    SKIMJOIN_ASSIGN_OR_RETURN(q.frequency.stream,
+    SKIMJOIN_ASSIGN_OR_RETURN(frequency.stream,
                               ReadName(in, "frequency query stream"));
-    if (!(in >> q.frequency.space_counters >> q.frequency.num_tables >>
+    if (!(in >> frequency.space_counters >> frequency.num_tables >>
           use_dyadic)) {
       return InvalidArgumentError("malformed frequency query in manifest");
     }
-    q.frequency.use_dyadic = use_dyadic != 0;
-    SKIMJOIN_ASSIGN_OR_RETURN(q.frequency.predicate, ReadPredicate(in));
+    frequency.use_dyadic = use_dyadic != 0;
+    SKIMJOIN_ASSIGN_OR_RETURN(frequency.predicate, ReadPredicate(in));
   } else if (q.kind == "distinct") {
-    SKIMJOIN_ASSIGN_OR_RETURN(q.distinct.stream,
+    DistinctCountQuerySpec& distinct =
+        q.spec.emplace<DistinctCountQuerySpec>();
+    SKIMJOIN_ASSIGN_OR_RETURN(distinct.stream,
                               ReadName(in, "distinct query stream"));
-    if (!(in >> q.distinct.num_maps)) {
+    if (!(in >> distinct.num_maps)) {
       return InvalidArgumentError("malformed distinct query in manifest");
     }
-    SKIMJOIN_ASSIGN_OR_RETURN(q.distinct.predicate, ReadPredicate(in));
+    SKIMJOIN_ASSIGN_OR_RETURN(distinct.predicate, ReadPredicate(in));
   } else if (q.kind == "topk") {
-    SKIMJOIN_ASSIGN_OR_RETURN(q.topk.stream,
-                              ReadName(in, "top-k query stream"));
-    if (!(in >> q.topk.k >> q.topk.space_counters >> q.topk.num_tables)) {
+    TopKQuerySpec& topk = q.spec.emplace<TopKQuerySpec>();
+    SKIMJOIN_ASSIGN_OR_RETURN(topk.stream, ReadName(in, "top-k query stream"));
+    if (!(in >> topk.k >> topk.space_counters >> topk.num_tables)) {
       return InvalidArgumentError("malformed top-k query in manifest");
     }
-    SKIMJOIN_ASSIGN_OR_RETURN(q.topk.predicate, ReadPredicate(in));
+    SKIMJOIN_ASSIGN_OR_RETURN(topk.predicate, ReadPredicate(in));
   } else if (q.kind == "quantile") {
-    SKIMJOIN_ASSIGN_OR_RETURN(q.quantile.stream,
+    QuantileQuerySpec& quantile = q.spec.emplace<QuantileQuerySpec>();
+    SKIMJOIN_ASSIGN_OR_RETURN(quantile.stream,
                               ReadName(in, "quantile query stream"));
-    if (!(in >> q.quantile.epsilon)) {
+    if (!(in >> quantile.epsilon)) {
       return InvalidArgumentError("malformed quantile query in manifest");
     }
-    SKIMJOIN_ASSIGN_OR_RETURN(q.quantile.predicate, ReadPredicate(in));
+    SKIMJOIN_ASSIGN_OR_RETURN(quantile.predicate, ReadPredicate(in));
   } else if (q.kind == "rangesum") {
-    SKIMJOIN_ASSIGN_OR_RETURN(q.range_sum.stream,
+    RangeSumQuerySpec& range_sum = q.spec.emplace<RangeSumQuerySpec>();
+    SKIMJOIN_ASSIGN_OR_RETURN(range_sum.stream,
                               ReadName(in, "range-sum query stream"));
-    if (!(in >> q.range_sum.coefficient_budget)) {
+    if (!(in >> range_sum.coefficient_budget)) {
       return InvalidArgumentError("malformed range-sum query in manifest");
     }
-    SKIMJOIN_ASSIGN_OR_RETURN(q.range_sum.predicate, ReadPredicate(in));
+    SKIMJOIN_ASSIGN_OR_RETURN(range_sum.predicate, ReadPredicate(in));
   } else if (q.kind == "chain") {
+    ChainJoinQuerySpec& chain = q.spec.emplace<ChainJoinQuerySpec>();
     uint64_t relation_count = 0;
     if (!(in >> relation_count) || relation_count < 2 ||
         relation_count > kMaxManifestEntries) {
       return InvalidArgumentError("bad chain relation count in manifest");
     }
-    q.chain.relations.reserve(relation_count);
+    chain.relations.reserve(relation_count);
     for (uint64_t r = 0; r < relation_count; ++r) {
       SKIMJOIN_ASSIGN_OR_RETURN(std::string name,
                                 ReadName(in, "chain query relations"));
-      q.chain.relations.push_back(std::move(name));
+      chain.relations.push_back(std::move(name));
     }
     std::string method;
-    if (!(in >> method >> q.chain.num_means >> q.chain.num_medians >>
-          q.chain.num_tables >> q.chain.num_buckets)) {
+    if (!(in >> method >> chain.num_means >> chain.num_medians >>
+          chain.num_tables >> chain.num_buckets)) {
       return InvalidArgumentError("malformed chain query in manifest");
     }
     if (method == "agmsgrid") {
-      q.chain.method = ChainJoinQuerySpec::Method::kAgmsGrid;
+      chain.method = ChainJoinQuerySpec::Method::kAgmsGrid;
     } else if (method == "hashsketch") {
-      q.chain.method = ChainJoinQuerySpec::Method::kHashSketch;
+      chain.method = ChainJoinQuerySpec::Method::kHashSketch;
     } else {
       return InvalidArgumentError("unknown chain method in manifest: " +
                                   method);
@@ -427,9 +430,95 @@ StatusOr<Manifest> ParseManifest(const std::string& payload) {
 constexpr char kMetaPrefix[] = "meta:";
 constexpr char kQueryPrefix[] = "query:";
 
-bool IsSerializableJoinKind(core::EstimatorKind kind) {
-  return kind != core::EstimatorKind::kSampling &&
-         kind != core::EstimatorKind::kPartitionedAgms;
+// Whether a query's synopsis is checkpointed: not for the sampling and
+// partitioned-AGMS join methods, nor yet for chain joins (their estimators
+// serialize for wire pulls but cannot restore).
+bool Checkpointable(const QuerySpec& spec) {
+  if (std::holds_alternative<ChainJoinQuerySpec>(spec)) return false;
+  const auto* join = std::get_if<JoinQuerySpec>(&spec);
+  return join == nullptr ||
+         (join->estimator.kind != core::EstimatorKind::kSampling &&
+          join->estimator.kind != core::EstimatorKind::kPartitionedAgms);
+}
+
+// The kind-specific tail of a manifest query line.
+void WriteSpec(std::ostream& out, const JoinQuerySpec& spec) {
+  const core::EstimatorSpec& est = spec.estimator;
+  out << PercentEncode(spec.left_stream) << ' '
+      << PercentEncode(spec.right_stream) << ' '
+      << EstimatorKindToken(est.kind) << ' ' << est.space_counters << ' '
+      << est.agms_num_medians << ' ' << est.num_tables << ' '
+      << est.threshold_scale << ' ' << est.recurse_slack << ' '
+      << est.skim_margin << ' ' << (est.skimmed_use_dyadic ? 1 : 0) << ' '
+      << (spec.left_input == AggregateInput::kCount ? 0 : 1) << ' '
+      << (spec.right_input == AggregateInput::kCount ? 0 : 1) << ' ';
+  WritePredicate(out, spec.left_predicate);
+  out << ' ';
+  WritePredicate(out, spec.right_predicate);
+}
+
+void WriteSpec(std::ostream& out, const FrequencyQuerySpec& spec) {
+  out << PercentEncode(spec.stream) << ' ' << spec.space_counters << ' '
+      << spec.num_tables << ' ' << (spec.use_dyadic ? 1 : 0) << ' ';
+  WritePredicate(out, spec.predicate);
+}
+
+void WriteSpec(std::ostream& out, const DistinctCountQuerySpec& spec) {
+  out << PercentEncode(spec.stream) << ' ' << spec.num_maps << ' ';
+  WritePredicate(out, spec.predicate);
+}
+
+void WriteSpec(std::ostream& out, const TopKQuerySpec& spec) {
+  out << PercentEncode(spec.stream) << ' ' << spec.k << ' '
+      << spec.space_counters << ' ' << spec.num_tables << ' ';
+  WritePredicate(out, spec.predicate);
+}
+
+void WriteSpec(std::ostream& out, const QuantileQuerySpec& spec) {
+  out << PercentEncode(spec.stream) << ' ' << spec.epsilon << ' ';
+  WritePredicate(out, spec.predicate);
+}
+
+void WriteSpec(std::ostream& out, const RangeSumQuerySpec& spec) {
+  out << PercentEncode(spec.stream) << ' ' << spec.coefficient_budget << ' ';
+  WritePredicate(out, spec.predicate);
+}
+
+void WriteSpec(std::ostream& out, const ChainJoinQuerySpec& spec) {
+  out << spec.relations.size();
+  for (const std::string& name : spec.relations) {
+    out << ' ' << PercentEncode(name);
+  }
+  out << ' '
+      << (spec.method == ChainJoinQuerySpec::Method::kAgmsGrid ? "agmsgrid"
+                                                               : "hashsketch")
+      << ' ' << spec.num_means << ' ' << spec.num_medians << ' '
+      << spec.num_tables << ' ' << spec.num_buckets;
+}
+
+// Re-registers a query from its manifest spec.
+StatusOr<QueryId> Register(Engine* engine, const QuerySpec& spec,
+                           uint64_t seed) {
+  return std::visit(
+      [&](const auto& s) -> StatusOr<QueryId> {
+        using Spec = std::decay_t<decltype(s)>;
+        if constexpr (std::is_same_v<Spec, JoinQuerySpec>) {
+          return engine->AddJoinQuery(s, seed);
+        } else if constexpr (std::is_same_v<Spec, FrequencyQuerySpec>) {
+          return engine->AddFrequencyQuery(s, seed);
+        } else if constexpr (std::is_same_v<Spec, DistinctCountQuerySpec>) {
+          return engine->AddDistinctCountQuery(s, seed);
+        } else if constexpr (std::is_same_v<Spec, TopKQuerySpec>) {
+          return engine->AddTopKQuery(s, seed);
+        } else if constexpr (std::is_same_v<Spec, QuantileQuerySpec>) {
+          return engine->AddQuantileQuery(s);
+        } else if constexpr (std::is_same_v<Spec, RangeSumQuerySpec>) {
+          return engine->AddRangeSumQuery(s);
+        } else {
+          return engine->AddChainJoinQuery(s, seed);
+        }
+      },
+      spec);
 }
 
 }  // namespace
@@ -446,33 +535,6 @@ Status Engine::SaveCheckpoint(
   const_cast<Engine*>(this)->FlushIngest();
   // The manifest (and the per-query sections) walk every query ascending by
   // id, so the file layout is deterministic for a given engine state.
-  enum class Kind { kJoin, kFrequency, kDistinct, kTopK, kQuantile,
-                    kRangeSum, kChain };
-  std::vector<std::pair<QueryId, Kind>> order;
-  order.reserve(num_queries());
-  for (const auto& entry : join_queries_) {
-    order.emplace_back(entry.first, Kind::kJoin);
-  }
-  for (const auto& entry : frequency_queries_) {
-    order.emplace_back(entry.first, Kind::kFrequency);
-  }
-  for (const auto& entry : distinct_queries_) {
-    order.emplace_back(entry.first, Kind::kDistinct);
-  }
-  for (const auto& entry : topk_queries_) {
-    order.emplace_back(entry.first, Kind::kTopK);
-  }
-  for (const auto& entry : quantile_queries_) {
-    order.emplace_back(entry.first, Kind::kQuantile);
-  }
-  for (const auto& entry : range_sum_queries_) {
-    order.emplace_back(entry.first, Kind::kRangeSum);
-  }
-  for (const auto& entry : chain_queries_) {
-    order.emplace_back(entry.first, Kind::kChain);
-  }
-  std::sort(order.begin(), order.end());
-
   std::ostringstream manifest;
   manifest.precision(std::numeric_limits<double>::max_digits10);
   manifest << "skimjoin.checkpoint v2\n"
@@ -491,96 +553,12 @@ Status Engine::SaveCheckpoint(
     manifest << PercentEncode(r.spec.name) << ' ' << r.spec.arity << ' '
              << r.spec.domain_size << ' ' << r.tuple_count << '\n';
   }
-  manifest << "queries " << order.size() << '\n';
-  std::vector<std::pair<QueryId, bool>> supported_flags;
-  supported_flags.reserve(order.size());
-  for (const auto& [id, kind] : order) {
-    bool supported = true;
-    switch (kind) {
-      case Kind::kJoin: {
-        const JoinQueryState& q = join_queries_.at(id);
-        supported = IsSerializableJoinKind(q.spec.estimator.kind);
-        const core::EstimatorSpec& est = q.spec.estimator;
-        manifest << id << " join " << q.seed << ' ' << (supported ? 1 : 0)
-                 << ' ' << PercentEncode(q.spec.left_stream) << ' '
-                 << PercentEncode(q.spec.right_stream) << ' '
-                 << EstimatorKindToken(est.kind) << ' ' << est.space_counters
-                 << ' ' << est.agms_num_medians << ' ' << est.num_tables << ' '
-                 << est.threshold_scale << ' ' << est.recurse_slack << ' '
-                 << est.skim_margin << ' ' << (est.skimmed_use_dyadic ? 1 : 0)
-                 << ' '
-                 << (q.spec.left_input == AggregateInput::kCount ? 0 : 1)
-                 << ' '
-                 << (q.spec.right_input == AggregateInput::kCount ? 0 : 1)
-                 << ' ';
-        WritePredicate(manifest, q.spec.left_predicate);
-        manifest << ' ';
-        WritePredicate(manifest, q.spec.right_predicate);
-        manifest << '\n';
-        break;
-      }
-      case Kind::kFrequency: {
-        const FrequencyQueryState& q = frequency_queries_.at(id);
-        manifest << id << " frequency " << q.seed << " 1 "
-                 << PercentEncode(q.spec.stream) << ' '
-                 << q.spec.space_counters << ' ' << q.spec.num_tables << ' '
-                 << (q.spec.use_dyadic ? 1 : 0) << ' ';
-        WritePredicate(manifest, q.spec.predicate);
-        manifest << '\n';
-        break;
-      }
-      case Kind::kDistinct: {
-        const DistinctQueryState& q = distinct_queries_.at(id);
-        manifest << id << " distinct " << q.seed << " 1 "
-                 << PercentEncode(q.spec.stream) << ' ' << q.spec.num_maps
-                 << ' ';
-        WritePredicate(manifest, q.spec.predicate);
-        manifest << '\n';
-        break;
-      }
-      case Kind::kTopK: {
-        const TopKQueryState& q = topk_queries_.at(id);
-        manifest << id << " topk " << q.seed << " 1 "
-                 << PercentEncode(q.spec.stream) << ' ' << q.spec.k << ' '
-                 << q.spec.space_counters << ' ' << q.spec.num_tables << ' ';
-        WritePredicate(manifest, q.spec.predicate);
-        manifest << '\n';
-        break;
-      }
-      case Kind::kQuantile: {
-        const QuantileQueryState& q = quantile_queries_.at(id);
-        manifest << id << " quantile 0 1 " << PercentEncode(q.spec.stream)
-                 << ' ' << q.spec.epsilon << ' ';
-        WritePredicate(manifest, q.spec.predicate);
-        manifest << '\n';
-        break;
-      }
-      case Kind::kRangeSum: {
-        const RangeSumQueryState& q = range_sum_queries_.at(id);
-        manifest << id << " rangesum 0 1 " << PercentEncode(q.spec.stream)
-                 << ' ' << q.spec.coefficient_budget << ' ';
-        WritePredicate(manifest, q.spec.predicate);
-        manifest << '\n';
-        break;
-      }
-      case Kind::kChain: {
-        const ChainJoinQueryState& q = chain_queries_.at(id);
-        supported = false;  // neither chain estimator is serializable yet
-        manifest << id << " chain " << q.seed << " 0 "
-                 << q.spec.relations.size();
-        for (const std::string& name : q.spec.relations) {
-          manifest << ' ' << PercentEncode(name);
-        }
-        manifest << ' '
-                 << (q.spec.method == ChainJoinQuerySpec::Method::kAgmsGrid
-                         ? "agmsgrid"
-                         : "hashsketch")
-                 << ' ' << q.spec.num_means << ' ' << q.spec.num_medians << ' '
-                 << q.spec.num_tables << ' ' << q.spec.num_buckets << '\n';
-        break;
-      }
-    }
-    supported_flags.emplace_back(id, supported);
+  manifest << "queries " << queries_.size() << '\n';
+  for (const auto& [id, q] : queries_) {
+    manifest << id << ' ' << QueryKindName(q.spec) << ' ' << q.seed << ' '
+             << (Checkpointable(q.spec) ? 1 : 0) << ' ';
+    std::visit([&](const auto& spec) { WriteSpec(manifest, spec); }, q.spec);
+    manifest << '\n';
   }
   // Counters only: they carry cumulative history a restored engine cannot
   // recompute. Gauges and histograms are monitoring views rebuilt live.
@@ -605,41 +583,10 @@ Status Engine::SaveCheckpoint(
     SKIMJOIN_RETURN_IF_ERROR(writer.AppendSection(kMetaPrefix + key, value));
   }
 
-  auto flags_it = supported_flags.begin();
-  for (const auto& [id, kind] : order) {
-    const bool supported = flags_it->second;
-    ++flags_it;
-    if (!supported) continue;
+  for (const auto& [id, q] : queries_) {
+    if (!Checkpointable(q.spec)) continue;
     std::ostringstream payload;
-    switch (kind) {
-      case Kind::kJoin:
-        SKIMJOIN_RETURN_IF_ERROR(
-            join_queries_.at(id).estimator->SerializeTo(payload));
-        break;
-      case Kind::kFrequency:
-        SKIMJOIN_RETURN_IF_ERROR(
-            frequency_queries_.at(id).sketch.SerializeTo(payload));
-        break;
-      case Kind::kDistinct:
-        SKIMJOIN_RETURN_IF_ERROR(
-            distinct_queries_.at(id).sketch.SerializeTo(payload));
-        break;
-      case Kind::kTopK:
-        SKIMJOIN_RETURN_IF_ERROR(
-            topk_queries_.at(id).tracker.SerializeTo(payload));
-        break;
-      case Kind::kQuantile:
-        SKIMJOIN_RETURN_IF_ERROR(
-            quantile_queries_.at(id).summary.SerializeTo(payload));
-        break;
-      case Kind::kRangeSum:
-        SKIMJOIN_RETURN_IF_ERROR(
-            range_sum_queries_.at(id).synopsis.SerializeTo(payload));
-        break;
-      case Kind::kChain:
-        SKIMJOIN_CHECK(false) << "chain queries are never serialized";
-        break;
-    }
+    SKIMJOIN_RETURN_IF_ERROR(q.synopsis->SerializeTo(payload));
     SKIMJOIN_RETURN_IF_ERROR(writer.AppendSection(
         kQueryPrefix + std::to_string(id), payload.str()));
   }
@@ -731,13 +678,13 @@ StatusOr<RestoreReport> Engine::RestoreCheckpoint(const std::string& path,
       return fail(InternalError("stream ids drifted during restore"));
     }
     streams_[i].element_count = s.element_count;
-    StreamState& state = streams_[i];
-    state.absorbed->Reset(s.stats.elements_absorbed);
-    state.batches->Reset(s.stats.batches);
-    state.dropped->Reset(s.stats.elements_dropped);
-    state.merges->Reset(s.stats.merges);
-    state.absorb_nanos->Reset(s.stats.absorb_nanos);
-    state.merge_nanos->Reset(s.stats.merge_nanos);
+    const StreamCounters& counters = streams_[i].counters;
+    counters.absorbed->Reset(s.stats.elements_absorbed);
+    counters.batches->Reset(s.stats.batches);
+    counters.dropped->Reset(s.stats.elements_dropped);
+    counters.merges->Reset(s.stats.merges);
+    counters.absorb_nanos->Reset(s.stats.absorb_nanos);
+    counters.merge_nanos->Reset(s.stats.merge_nanos);
   }
   for (size_t i = 0; i < manifest.relations.size(); ++i) {
     const ManifestRelation& r = manifest.relations[i];
@@ -755,9 +702,11 @@ StatusOr<RestoreReport> Engine::RestoreCheckpoint(const std::string& path,
     // to the recorded value before each registration.
     next_query_id_ = q.id;
 
-    // Unsupported kinds first: the manifest listed them so the restore must
+    // Unsupported kinds: the manifest listed them so the restore must
     // account for them — strict mode refuses, partial mode re-registers
     // what it can (empty) and reports the loss.
+    const bool chain = std::holds_alternative<ChainJoinQuerySpec>(q.spec);
+    const auto* join = std::get_if<JoinQuerySpec>(&q.spec);
     if (!q.supported) {
       if (!options.allow_partial) {
         return fail(UnimplementedError(
@@ -765,58 +714,36 @@ StatusOr<RestoreReport> Engine::RestoreCheckpoint(const std::string& path,
             ") has no serializable synopsis; restore with allow_partial to "
             "recover the rest"));
       }
-      if (q.kind == "chain") {
-        StatusOr<QueryId> created = AddChainJoinQuery(q.chain, q.seed);
-        if (!created.ok()) return fail(created.status());
-        if (*created != q.id) {
-          return fail(InternalError("query ids drifted during restore"));
-        }
-        report.lost.push_back(
-            {q.id, q.kind,
-             "chain-join synopsis state is not serializable; "
-             "re-registered empty"});
-      } else if (q.kind == "join" &&
-                 q.join.estimator.kind == core::EstimatorKind::kSampling) {
-        StatusOr<QueryId> created = AddJoinQuery(q.join, q.seed);
-        if (!created.ok()) return fail(created.status());
-        if (*created != q.id) {
-          return fail(InternalError("query ids drifted during restore"));
-        }
-        report.lost.push_back(
-            {q.id, q.kind,
-             "sampling join synopsis state is not serializable; "
-             "re-registered empty"});
-      } else {
+      if (!chain && (join == nullptr || join->estimator.kind !=
+                                            core::EstimatorKind::kSampling)) {
         // Partitioned-AGMS joins need a partition plan the manifest cannot
         // carry, so the query cannot even be re-registered.
         report.lost.push_back(
             {q.id, q.kind,
              "dropped entirely: the estimator requires state (e.g. a "
              "partition plan) a checkpoint cannot carry"});
+        continue;
       }
-      continue;
+    } else if (chain) {
+      return fail(InvalidArgumentError(
+          "manifest marks unserializable kind as supported: " + q.kind));
     }
-
-    // Supported query: re-register from the spec, then splice the saved
-    // synopsis in. A synopsis failure is fatal in strict mode; in partial
-    // mode the query survives with an empty synopsis and a reported loss.
-    StatusOr<QueryId> created = [&]() -> StatusOr<QueryId> {
-      if (q.kind == "join") return AddJoinQuery(q.join, q.seed);
-      if (q.kind == "frequency") return AddFrequencyQuery(q.frequency, q.seed);
-      if (q.kind == "distinct") {
-        return AddDistinctCountQuery(q.distinct, q.seed);
-      }
-      if (q.kind == "topk") return AddTopKQuery(q.topk, q.seed);
-      if (q.kind == "quantile") return AddQuantileQuery(q.quantile);
-      if (q.kind == "rangesum") return AddRangeSumQuery(q.range_sum);
-      return InvalidArgumentError(
-          "manifest marks unserializable kind as supported: " + q.kind);
-    }();
+    StatusOr<QueryId> created = Register(this, q.spec, q.seed);
     if (!created.ok()) return fail(created.status());
     if (*created != q.id) {
       return fail(InternalError("query ids drifted during restore"));
     }
+    if (!q.supported) {
+      report.lost.push_back(
+          {q.id, q.kind,
+           std::string(chain ? "chain-join" : "sampling join") +
+               " synopsis state is not serializable; re-registered empty"});
+      continue;
+    }
 
+    // Supported query: splice the saved synopsis in. A synopsis failure is
+    // fatal in strict mode; in partial mode the query survives with an
+    // empty synopsis and a reported loss.
     const auto payload_it = query_payloads.find(q.id);
     Status synopsis_status = OkStatus();
     if (payload_it == query_payloads.end()) {
@@ -824,79 +751,7 @@ StatusOr<RestoreReport> Engine::RestoreCheckpoint(const std::string& path,
                                 std::to_string(q.id) + " is missing");
     } else {
       std::istringstream in(*payload_it->second);
-      if (q.kind == "join") {
-        synopsis_status = join_queries_.at(q.id).estimator->RestoreFrom(in);
-      } else if (q.kind == "frequency") {
-        StatusOr<core::SkimmedSketch> sketch =
-            core::SkimmedSketch::DeserializeFrom(in);
-        synopsis_status = sketch.status();
-        if (sketch.ok()) {
-          FrequencyQueryState& state = frequency_queries_.at(q.id);
-          if (!sketch->CompatibleWith(state.sketch)) {
-            synopsis_status = InvalidArgumentError(
-                "restored frequency sketch disagrees with its spec");
-          } else {
-            state.sketch = *std::move(sketch);
-            // Deserialized sketches carry default kernel options; re-apply
-            // the engine's selection and restart the cache-delta bookkeeping.
-            state.sketch.SetKernelOptions(kernel_options_);
-            state.cache_hits_seen = 0;
-            state.cache_misses_seen = 0;
-            state.ingestor.reset();
-          }
-        }
-      } else if (q.kind == "distinct") {
-        StatusOr<sketch::FmSketch> sketch = sketch::FmSketch::DeserializeFrom(in);
-        synopsis_status = sketch.status();
-        if (sketch.ok()) {
-          DistinctQueryState& state = distinct_queries_.at(q.id);
-          if (!sketch->CompatibleWith(state.sketch)) {
-            synopsis_status = InvalidArgumentError(
-                "restored FM sketch disagrees with its spec");
-          } else {
-            state.sketch = *std::move(sketch);
-          }
-        }
-      } else if (q.kind == "topk") {
-        StatusOr<core::TopKTracker> tracker =
-            core::TopKTracker::DeserializeFrom(in);
-        synopsis_status = tracker.status();
-        if (tracker.ok()) {
-          TopKQueryState& state = topk_queries_.at(q.id);
-          if (tracker->k() != state.tracker.k()) {
-            synopsis_status = InvalidArgumentError(
-                "restored top-k tracker disagrees with its spec");
-          } else {
-            state.tracker = *std::move(tracker);
-          }
-        }
-      } else if (q.kind == "quantile") {
-        StatusOr<stream::GkQuantileSummary> summary =
-            stream::GkQuantileSummary::DeserializeFrom(in);
-        synopsis_status = summary.status();
-        if (summary.ok()) {
-          QuantileQueryState& state = quantile_queries_.at(q.id);
-          if (summary->epsilon() != state.summary.epsilon()) {
-            synopsis_status = InvalidArgumentError(
-                "restored quantile summary disagrees with its spec");
-          } else {
-            state.summary = *std::move(summary);
-          }
-        }
-      } else {  // rangesum
-        StatusOr<stream::WaveletSynopsis> synopsis =
-            stream::WaveletSynopsis::DeserializeFrom(in);
-        synopsis_status = synopsis.status();
-        if (synopsis.ok()) {
-          RangeSumQueryState& state = range_sum_queries_.at(q.id);
-          if (synopsis->domain_size() != state.synopsis.domain_size()) {
-            synopsis_status = InvalidArgumentError(
-                "restored wavelet synopsis disagrees with its stream domain");
-          } else {
-            state.synopsis = *std::move(synopsis);
-          }
-        }
-      }
+      synopsis_status = queries_.at(q.id).synopsis->RestoreFrom(in);
     }
     if (!synopsis_status.ok()) {
       if (!options.allow_partial) return fail(synopsis_status);
@@ -908,9 +763,10 @@ StatusOr<RestoreReport> Engine::RestoreCheckpoint(const std::string& path,
   }
 
   next_query_id_ = manifest.next_query_id;
-  {
-    const Status shards = SetIngestShards(manifest.shards);
-    if (!shards.ok()) return fail(shards);
+  IngestOptions ingest = ingest_options_;
+  ingest.shards = manifest.shards;
+  if (Status shards = SetIngestOptions(ingest); !shards.ok()) {
+    return fail(shards);
   }
 
   // Counters last, so the saved cumulative values override anything the

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <sstream>
 #include <utility>
+#include <variant>
 
 #include "hashing/simd_hash.h"
 #include "util/event_log.h"
@@ -24,14 +25,17 @@ std::string FormatForEvent(double value) {
   return buffer;
 }
 
-/// Times one Answer* call: bumps the call counter on entry, records the
-/// elapsed nanoseconds on exit. The clock reads stay in even when histogram
-/// recording is compiled out — answer paths are cold, and keeping the
-/// object unconditional keeps the call sites branch-free.
+/// Times one Answer* call under an "estimate" trace span: bumps the call
+/// counter on entry, records the elapsed nanoseconds on exit. The clock
+/// reads stay in even when histogram recording is compiled out — answer
+/// paths are cold, and keeping the object unconditional keeps the call
+/// sites branch-free.
 class ScopedEstimate {
  public:
   ScopedEstimate(metrics::Counter* calls, metrics::ShardedHistogram* nanos)
-      : nanos_(nanos), start_(std::chrono::steady_clock::now()) {
+      : span_("estimate", "query"),
+        nanos_(nanos),
+        start_(std::chrono::steady_clock::now()) {
     if (calls != nullptr) calls->Increment();
   }
   ~ScopedEstimate() {
@@ -46,6 +50,7 @@ class ScopedEstimate {
   ScopedEstimate& operator=(const ScopedEstimate&) = delete;
 
  private:
+  metrics::TraceSpan span_;
   metrics::ShardedHistogram* nanos_;
   std::chrono::steady_clock::time_point start_;
 };
@@ -127,15 +132,17 @@ std::string RenderHealthReport(const HealthReport& report) {
 
 void Engine::InitStreamMetrics(StreamState* state) {
   const std::string prefix = "ingest." + state->spec.name + ".";
-  state->absorbed = metrics_.GetCounter(prefix + "elements_absorbed");
-  state->batches = metrics_.GetCounter(prefix + "batches");
-  state->dropped = metrics_.GetCounter(prefix + "elements_dropped");
-  state->merges = metrics_.GetCounter(prefix + "merges");
-  state->absorb_nanos = metrics_.GetCounter(prefix + "absorb_nanos");
-  state->merge_nanos = metrics_.GetCounter(prefix + "merge_nanos");
-  state->hash_cache_hits = metrics_.GetCounter(prefix + "hash_cache_hits");
-  state->hash_cache_misses = metrics_.GetCounter(prefix + "hash_cache_misses");
-  state->epoch_lag = metrics_.GetGauge(prefix + "epoch_lag");
+  StreamCounters& counters = state->counters;
+  counters.absorbed = metrics_.GetCounter(prefix + "elements_absorbed");
+  counters.batches = metrics_.GetCounter(prefix + "batches");
+  counters.dropped = metrics_.GetCounter(prefix + "elements_dropped");
+  counters.merges = metrics_.GetCounter(prefix + "merges");
+  counters.absorb_nanos = metrics_.GetCounter(prefix + "absorb_nanos");
+  counters.merge_nanos = metrics_.GetCounter(prefix + "merge_nanos");
+  counters.hash_cache_hits = metrics_.GetCounter(prefix + "hash_cache_hits");
+  counters.hash_cache_misses =
+      metrics_.GetCounter(prefix + "hash_cache_misses");
+  counters.epoch_lag = metrics_.GetGauge(prefix + "epoch_lag");
 
   metrics_.SetHelp(prefix + "elements_absorbed",
                    "In-domain stream elements fed to this stream's synopses.");
@@ -143,7 +150,7 @@ void Engine::InitStreamMetrics(StreamState* state) {
   metrics_.SetHelp(prefix + "elements_dropped",
                    "Out-of-domain elements dropped before any synopsis.");
   metrics_.SetHelp(prefix + "merges",
-                   "Sharded-ingest merge rounds (SetIngestShards > 1).");
+                   "Sharded-ingest and concurrent-flush merge rounds.");
   metrics_.SetHelp(prefix + "absorb_nanos",
                    "Nanoseconds worker shards spent absorbing batches.");
   metrics_.SetHelp(prefix + "merge_nanos",
@@ -229,15 +236,15 @@ Engine::QueryMetrics Engine::MakeQueryMetrics(QueryId id) {
   return metrics;
 }
 
-QueryCache::Epochs Engine::EpochsFor(const JoinQueryState& q) const {
-  // Self-joins register left == right; the duplicate entry is harmless
-  // (both slots move together) and keeps the shape uniform.
-  return {streams_[q.left].absorbed->Value(),
-          streams_[q.right].absorbed->Value()};
-}
-
-QueryCache::Epochs Engine::EpochsFor(const FrequencyQueryState& q) const {
-  return {streams_[q.stream].absorbed->Value()};
+QueryCache::Epochs Engine::EpochsFor(const QueryState& q) const {
+  // A self-join subscribes to its stream twice; the duplicate entry is
+  // harmless (both slots move together) and keeps the shape uniform.
+  QueryCache::Epochs epochs{};
+  for (size_t side = 0; side < q.subscriptions.size(); ++side) {
+    epochs[side] = streams_[q.subscriptions[side].stream].counters.absorbed
+                       ->Value();
+  }
+  return epochs;
 }
 
 void Engine::CountCacheOutcome(const QueryMetrics& metrics,
@@ -261,44 +268,39 @@ void Engine::CountCacheOutcome(const QueryMetrics& metrics,
 
 void Engine::SetReadPathOptions(const ReadPathOptions& options) {
   if (!options.use_query_cache) query_cache_.DropAll();
-  if (!options.use_slim_views) {
-    for (auto& [id, q] : frequency_queries_) q.slim.reset();
-  }
   read_path_ = options;
 }
 
 StatusOr<Engine::QueryCacheStats> Engine::QueryCacheStatsFor(
     QueryId query) const {
-  const QueryMetrics* metrics = nullptr;
-  if (const auto it = join_queries_.find(query); it != join_queries_.end()) {
-    metrics = &it->second.metrics;
-  } else if (const auto fit = frequency_queries_.find(query);
-             fit != frequency_queries_.end()) {
-    metrics = &fit->second.metrics;
-  }
-  if (metrics == nullptr) {
+  const auto it = queries_.find(query);
+  if (it == queries_.end() ||
+      !(std::holds_alternative<JoinQuerySpec>(it->second.spec) ||
+        std::holds_alternative<FrequencyQuerySpec>(it->second.spec))) {
     return NotFoundError("query " + std::to_string(query) +
                          " has no cached read path (not a join or "
                          "frequency query)");
   }
+  const QueryMetrics& metrics = it->second.metrics;
   QueryCacheStats stats;
   stats.enabled = read_path_.use_query_cache;
-  stats.hits = metrics->cache_hits->Value();
-  stats.misses = metrics->cache_misses->Value();
-  stats.invalidations = metrics->cache_invalidations->Value();
+  stats.hits = metrics.cache_hits->Value();
+  stats.misses = metrics.cache_misses->Value();
+  stats.invalidations = metrics.cache_invalidations->Value();
   return stats;
 }
 
 ingest::IngestStats Engine::IngestStatsFor(const StreamState& state) const {
+  const StreamCounters& counters = state.counters;
   ingest::IngestStats stats;
-  stats.elements_absorbed = state.absorbed->Value();
-  stats.batches = state.batches->Value();
-  stats.elements_dropped = state.dropped->Value();
-  stats.merges = state.merges->Value();
-  stats.absorb_nanos = state.absorb_nanos->Value();
-  stats.merge_nanos = state.merge_nanos->Value();
-  stats.hash_cache_hits = state.hash_cache_hits->Value();
-  stats.hash_cache_misses = state.hash_cache_misses->Value();
+  stats.elements_absorbed = counters.absorbed->Value();
+  stats.batches = counters.batches->Value();
+  stats.elements_dropped = counters.dropped->Value();
+  stats.merges = counters.merges->Value();
+  stats.absorb_nanos = counters.absorb_nanos->Value();
+  stats.merge_nanos = counters.merge_nanos->Value();
+  stats.hash_cache_hits = counters.hash_cache_hits->Value();
+  stats.hash_cache_misses = counters.hash_cache_misses->Value();
   return stats;
 }
 
@@ -367,6 +369,29 @@ StatusOr<StreamId> Engine::FindStream(const std::string& name) const {
   return it->second;
 }
 
+QueryId Engine::AddQuery(QuerySpec spec, uint64_t seed,
+                         std::vector<Subscription> subscriptions,
+                         std::unique_ptr<Synopsis> synopsis) {
+  const QueryId id = next_query_id_++;
+  queries_.emplace(id, QueryState{std::move(subscriptions),
+                                  MakeQueryMetrics(id), std::move(synopsis),
+                                  std::move(spec), seed});
+  return id;
+}
+
+template <typename Node>
+std::pair<const Engine::QueryState*, const Node*> Engine::FindQuery(
+    QueryId id) const {
+  // The spec names the node's type; a variant index check keeps the answer
+  // hot path free of a dynamic_cast.
+  const auto it = queries_.find(id);
+  if (it == queries_.end() ||
+      !std::holds_alternative<typename Node::Spec>(it->second.spec)) {
+    return {nullptr, nullptr};
+  }
+  return {&it->second, static_cast<const Node*>(it->second.synopsis.get())};
+}
+
 StatusOr<QueryId> Engine::AddJoinQuery(const JoinQuerySpec& spec,
                                        uint64_t seed) {
   SKIMJOIN_ASSIGN_OR_RETURN(const StreamId left, FindStream(spec.left_stream));
@@ -385,14 +410,10 @@ StatusOr<QueryId> Engine::AddJoinQuery(const JoinQuerySpec& spec,
   SKIMJOIN_ASSIGN_OR_RETURN(std::unique_ptr<core::JoinEstimatorPair> pair,
                             core::CreateJoinEstimatorPair(estimator_spec,
                                                           seed));
-
-  const QueryId id = next_query_id_++;
-  join_queries_.emplace(
-      id, JoinQueryState{std::move(pair), left, right, spec.left_input,
-                         spec.right_input, spec.left_predicate,
-                         spec.right_predicate, spec, seed,
-                         MakeQueryMetrics(id)});
-  return id;
+  return AddQuery(spec, seed,
+                  {{left, spec.left_predicate, spec.left_input},
+                   {right, spec.right_predicate, spec.right_input}},
+                  std::make_unique<JoinSynopsis>(std::move(pair)));
 }
 
 StatusOr<QueryId> Engine::AddSelfJoinQuery(const SelfJoinQuerySpec& spec,
@@ -434,15 +455,10 @@ StatusOr<QueryId> Engine::AddFrequencyQuery(const FrequencyQuerySpec& spec,
   SKIMJOIN_ASSIGN_OR_RETURN(core::SkimmedSketch sketch,
                             core::SkimmedSketch::Create(config, seed));
   sketch.SetKernelOptions(kernel_options_);
-
-  const QueryId id = next_query_id_++;
-  frequency_queries_.emplace(
-      id, FrequencyQueryState{std::move(sketch), stream, spec.predicate,
-                              std::nullopt, spec, seed, MakeQueryMetrics(id),
-                              /*cache_hits_seen=*/0, /*cache_misses_seen=*/0,
-                              /*slim=*/std::nullopt,
-                              /*concurrent=*/nullptr});
-  return id;
+  return AddQuery(spec, seed, {{stream, spec.predicate}},
+                  std::make_unique<FrequencySynopsis>(
+                      std::move(sketch), &ingest_options_,
+                      streams_[stream].counters));
 }
 
 StatusOr<QueryId> Engine::AddDistinctCountQuery(
@@ -450,11 +466,8 @@ StatusOr<QueryId> Engine::AddDistinctCountQuery(
   SKIMJOIN_ASSIGN_OR_RETURN(const StreamId stream, FindStream(spec.stream));
   SKIMJOIN_ASSIGN_OR_RETURN(sketch::FmSketch sketch,
                             sketch::FmSketch::Create(spec.num_maps, seed));
-  const QueryId id = next_query_id_++;
-  distinct_queries_.emplace(
-      id, DistinctQueryState{std::move(sketch), stream, spec.predicate, spec,
-                             seed, MakeQueryMetrics(id)});
-  return id;
+  return AddQuery(spec, seed, {{stream, spec.predicate}},
+                  std::make_unique<DistinctSynopsis>(std::move(sketch)));
 }
 
 StatusOr<QueryId> Engine::AddTopKQuery(const TopKQuerySpec& spec,
@@ -470,22 +483,16 @@ StatusOr<QueryId> Engine::AddTopKQuery(const TopKQuerySpec& spec,
       std::max<uint64_t>(1, spec.space_counters / spec.num_tables);
   SKIMJOIN_ASSIGN_OR_RETURN(core::TopKTracker tracker,
                             core::TopKTracker::Create(spec.k, config, seed));
-  const QueryId id = next_query_id_++;
-  topk_queries_.emplace(
-      id, TopKQueryState{std::move(tracker), stream, spec.predicate, spec,
-                         seed, MakeQueryMetrics(id)});
-  return id;
+  return AddQuery(spec, seed, {{stream, spec.predicate}},
+                  std::make_unique<TopKSynopsis>(std::move(tracker)));
 }
 
 StatusOr<QueryId> Engine::AddQuantileQuery(const QuantileQuerySpec& spec) {
   SKIMJOIN_ASSIGN_OR_RETURN(const StreamId stream, FindStream(spec.stream));
   SKIMJOIN_ASSIGN_OR_RETURN(stream::GkQuantileSummary summary,
                             stream::GkQuantileSummary::Create(spec.epsilon));
-  const QueryId id = next_query_id_++;
-  quantile_queries_.emplace(
-      id, QuantileQueryState{std::move(summary), stream, spec.predicate, spec,
-                             MakeQueryMetrics(id)});
-  return id;
+  return AddQuery(spec, /*seed=*/0, {{stream, spec.predicate}},
+                  std::make_unique<QuantileSynopsis>(std::move(summary)));
 }
 
 StatusOr<QueryId> Engine::AddRangeSumQuery(const RangeSumQuerySpec& spec) {
@@ -496,12 +503,9 @@ StatusOr<QueryId> Engine::AddRangeSumQuery(const RangeSumQuerySpec& spec) {
   SKIMJOIN_ASSIGN_OR_RETURN(
       stream::WaveletSynopsis synopsis,
       stream::WaveletSynopsis::Create(streams_[stream].spec.domain_size));
-  const QueryId id = next_query_id_++;
-  range_sum_queries_.emplace(
-      id, RangeSumQueryState{std::move(synopsis), stream,
-                             spec.coefficient_budget, spec.predicate, spec,
-                             MakeQueryMetrics(id)});
-  return id;
+  return AddQuery(spec, /*seed=*/0, {{stream, spec.predicate}},
+                  std::make_unique<RangeSumSynopsis>(
+                      std::move(synopsis), spec.coefficient_budget));
 }
 
 StatusOr<StreamId> Engine::RegisterRelation(const RelationSpec& spec) {
@@ -555,10 +559,8 @@ StatusOr<QueryId> Engine::AddChainJoinQuery(const ChainJoinQuerySpec& spec,
     chain.push_back(id);
   }
 
-  ChainJoinQueryState state;
-  state.chain = std::move(chain);
-  state.spec = spec;
-  state.seed = seed;
+  std::optional<MultiJoinEstimator> grid;
+  std::optional<MultiJoinHashEstimator> hashed;
   if (spec.method == ChainJoinQuerySpec::Method::kAgmsGrid) {
     MultiJoinConfig config;
     config.num_means = spec.num_means;
@@ -568,22 +570,18 @@ StatusOr<QueryId> Engine::AddChainJoinQuery(const ChainJoinQuerySpec& spec,
       config.relation_attributes.push_back({r - 1, r});
     }
     config.relation_attributes.push_back({spec.relations.size() - 2});
-    SKIMJOIN_ASSIGN_OR_RETURN(MultiJoinEstimator grid,
-                              MultiJoinEstimator::Create(config, seed));
-    state.grid = std::move(grid);
+    SKIMJOIN_ASSIGN_OR_RETURN(grid, MultiJoinEstimator::Create(config, seed));
   } else {
     MultiJoinHashConfig config;
     config.num_relations = spec.relations.size();
     config.num_tables = spec.num_tables;
     config.num_buckets = spec.num_buckets;
-    SKIMJOIN_ASSIGN_OR_RETURN(MultiJoinHashEstimator hashed,
+    SKIMJOIN_ASSIGN_OR_RETURN(hashed,
                               MultiJoinHashEstimator::Create(config, seed));
-    state.hashed = std::move(hashed);
   }
-  const QueryId id = next_query_id_++;
-  state.metrics = MakeQueryMetrics(id);
-  chain_queries_.emplace(id, std::move(state));
-  return id;
+  return AddQuery(spec, seed, {},
+                  std::make_unique<ChainJoinSynopsis>(
+                      std::move(grid), std::move(hashed), std::move(chain)));
 }
 
 Status Engine::UpdateRelation(const std::string& relation,
@@ -606,22 +604,9 @@ Status Engine::UpdateRelation(const std::string& relation,
   }
   state.tuple_count += weight;
 
-  for (auto& [query_id, q] : chain_queries_) {
-    for (size_t position = 0; position < q.chain.size(); ++position) {
-      if (q.chain[position] != *id) continue;
-      if (q.grid.has_value()) {
-        SKIMJOIN_RETURN_IF_ERROR(q.grid->Update(position, attributes, weight));
-      } else {
-        const bool is_end =
-            (position == 0 || position + 1 == q.chain.size());
-        if (is_end) {
-          SKIMJOIN_RETURN_IF_ERROR(
-              q.hashed->UpdateEnd(position, attributes[0], weight));
-        } else {
-          SKIMJOIN_RETURN_IF_ERROR(q.hashed->UpdateMiddle(
-              position, attributes[0], attributes[1], weight));
-        }
-      }
+  for (auto& [query_id, q] : queries_) {
+    if (auto* chain = dynamic_cast<ChainJoinSynopsis*>(q.synopsis.get())) {
+      SKIMJOIN_RETURN_IF_ERROR(chain->UpdateTuple(*id, attributes, weight));
     }
   }
   return OkStatus();
@@ -637,85 +622,13 @@ Status Engine::Update(StreamId stream, const StreamUpdate& update) {
   if (stream >= streams_.size()) {
     return NotFoundError("unknown stream id");
   }
-  StreamState& state = streams_[stream];
+  const StreamState& state = streams_[stream];
   if (update.value >= state.spec.domain_size) {
-    state.dropped->Increment();
+    state.counters.dropped->Increment();
     return OutOfRangeError("value outside the domain of stream " +
                            state.spec.name);
   }
-  state.element_count += update.count;
-  state.absorbed->Increment();
-#ifndef SKIMJOIN_DISABLE_PROFILER
-  if (profiler_enabled_) state.profiler->Observe(update.value, update.count);
-#endif
-  ApplyToQueries(stream, update, /*include_frequency_queries=*/true);
-  return OkStatus();
-}
-
-void Engine::ApplyToQueries(StreamId stream, const StreamUpdate& update,
-                            bool include_frequency_queries) {
-  for (auto& [id, q] : join_queries_) {
-    if (q.left == stream &&
-        (!q.left_predicate || q.left_predicate->Matches(update.value))) {
-      const int64_t weight = WeightFor(q.left_input, update);
-      if (weight != 0) q.estimator->UpdateF(update.value, weight);
-    }
-    if (q.right == stream &&
-        (!q.right_predicate || q.right_predicate->Matches(update.value))) {
-      const int64_t weight = WeightFor(q.right_input, update);
-      if (weight != 0) q.estimator->UpdateG(update.value, weight);
-    }
-  }
-  if (include_frequency_queries) {
-    for (auto& [id, q] : frequency_queries_) {
-      if (q.stream == stream &&
-          (!q.predicate || q.predicate->Matches(update.value))) {
-        if (update.count != 0) {
-          if (q.concurrent != nullptr) {
-            // A live concurrent ingestor means workers may be propagating
-            // into this sketch right now; the scalar path joins the same
-            // writer lock instead of racing it.
-            auto lock = q.concurrent->WriterLock();
-            q.sketch.Update(update.value, update.count);
-          } else {
-            q.sketch.Update(update.value, update.count);
-          }
-        }
-      }
-    }
-  }
-  for (auto& [id, q] : distinct_queries_) {
-    if (q.stream == stream &&
-        (!q.predicate || q.predicate->Matches(update.value))) {
-      if (update.count != 0) q.sketch.Update(update.value, update.count);
-    }
-  }
-  for (auto& [id, q] : topk_queries_) {
-    if (q.stream == stream &&
-        (!q.predicate || q.predicate->Matches(update.value))) {
-      if (update.count != 0) q.tracker.Update(update.value, update.count);
-    }
-  }
-  for (auto& [id, q] : quantile_queries_) {
-    if (q.stream == stream &&
-        (!q.predicate || q.predicate->Matches(update.value))) {
-      // GK summaries are insert-only; deletes are documented as ignored.
-      for (int64_t i = 0; i < update.count; ++i) q.summary.Insert(update.value);
-    }
-  }
-  for (auto& [id, q] : range_sum_queries_) {
-    if (q.stream == stream &&
-        (!q.predicate || q.predicate->Matches(update.value))) {
-      if (update.count != 0) {
-        q.synopsis.Update(update.value, update.count);
-        // Keep the synopsis a B-term summary (with slack so compression is
-        // amortized, not per-update).
-        if (q.synopsis.CoefficientCount() > 2 * q.coefficient_budget) {
-          q.synopsis.CompressTo(q.coefficient_budget);
-        }
-      }
-    }
-  }
+  return Ingest(stream, std::span<const StreamUpdate>(&update, 1));
 }
 
 Status Engine::UpdateBatch(const std::string& stream,
@@ -730,10 +643,14 @@ Status Engine::UpdateBatch(StreamId stream,
   if (stream >= streams_.size()) {
     return NotFoundError("unknown stream id");
   }
-  StreamState& state = streams_[stream];
   metrics::TraceSpan batch_span("ingest_batch", "ingest");
-  state.batches->Increment();
+  streams_[stream].counters.batches->Increment();
+  return Ingest(stream, updates);
+}
 
+Status Engine::Ingest(StreamId stream,
+                      std::span<const StreamUpdate> updates) {
+  StreamState& state = streams_[stream];
   // One validation pass, hoisted out of every synopsis loop: bad elements
   // are dropped and counted here so no synopsis ever sees one. Counter
   // deltas accumulate in locals — one atomic add per batch, not per
@@ -753,8 +670,7 @@ Status Engine::UpdateBatch(StreamId stream,
   // is one (rarely taken) delete branch.
   const int64_t count_before_batch = state.element_count;
   uint64_t profiled_deletes = 0;
-  for (size_t i = 0; i < updates.size(); ++i) {
-    const StreamUpdate& update = updates[i];
+  for (const StreamUpdate& update : updates) {
     if (update.value >= state.spec.domain_size) {
       ++dropped;
       continue;
@@ -767,7 +683,6 @@ Status Engine::UpdateBatch(StreamId stream,
         profiled_deletes += static_cast<uint64_t>(-update.count);
       }
     }
-    ApplyToQueries(stream, update, /*include_frequency_queries=*/false);
   }
   if (profiler != nullptr && absorbed != 0) {
     const int64_t profiled_net = state.element_count - count_before_batch;
@@ -777,72 +692,40 @@ Status Engine::UpdateBatch(StreamId stream,
                               static_cast<int64_t>(profiled_deletes)),
         profiled_deletes, profiled_net);
   }
-  if (absorbed != 0) state.absorbed->Increment(absorbed);
-  if (dropped != 0) state.dropped->Increment(dropped);
+  if (absorbed != 0) state.counters.absorbed->Increment(absorbed);
+  if (dropped != 0) state.counters.dropped->Increment(dropped);
+  if (absorbed == 0) return OkStatus();
 
-  // Frequency queries take the batch path: per query, project the batch to
-  // in-domain, predicate-matching stream elements and fold them in at once
-  // (sharded across worker threads when the batch is large enough).
-  std::vector<stream::StreamElement> elements;
-  for (auto& [id, q] : frequency_queries_) {
-    if (q.stream != stream) continue;
-    elements.clear();
-    elements.reserve(updates.size());
-    for (const StreamUpdate& update : updates) {
-      if (update.value >= state.spec.domain_size) continue;
-      if (q.predicate && !q.predicate->Matches(update.value)) continue;
-      if (update.count != 0) elements.push_back({update.value, update.count});
-    }
-    if (elements.empty()) continue;
-    if (ingest_options_.concurrent) {
-      // Relaxed-consistency path: hand chunks to the persistent workers
-      // and return without waiting. Staleness is bounded by the ingestor's
-      // propagation policy; FlushIngest() is the linearization point.
-      if (q.concurrent == nullptr) {
-        ingest::ConcurrentIngestOptions options;
-        options.num_workers = ingest_options_.shards;
-        options.propagation_interval_elements =
-            ingest_options_.propagation_interval_elements;
-        options.max_lag_elements = ingest_options_.max_lag_elements;
-        options.pin_threads = ingest_options_.pin_threads;
-        StatusOr<std::unique_ptr<ingest::ConcurrentIngestor<
-            core::SkimmedSketch>>>
-            created = ingest::ConcurrentIngestor<core::SkimmedSketch>::Create(
-                &q.sketch, options);
-        SKIMJOIN_RETURN_IF_ERROR(created.status());
-        q.concurrent = *std::move(created);
+  // The fan-out: every subscription to this stream gets its projection of
+  // the batch — in-domain, predicate-matching elements with their nonzero
+  // input weight — in pieces of at most the synopsis' MaxBatch().
+  for (auto& [id, q] : queries_) {
+    const size_t max_batch = q.synopsis->MaxBatch();
+    for (size_t side = 0; side < q.subscriptions.size(); ++side) {
+      const Subscription& subscription = q.subscriptions[side];
+      if (subscription.stream != stream) continue;
+      projected_.clear();
+      for (const StreamUpdate& update : updates) {
+        if (update.value >= state.spec.domain_size) continue;
+        if (subscription.predicate &&
+            !subscription.predicate->Matches(update.value)) {
+          continue;
+        }
+        const int64_t weight = subscription.input == AggregateInput::kCount
+                                   ? update.count
+                                   : update.measure;
+        if (weight == 0) continue;
+        projected_.push_back({update.value, weight});
+        if (projected_.size() == max_batch) {
+          SKIMJOIN_RETURN_IF_ERROR(q.synopsis->UpdateBatch(side, projected_));
+          projected_.clear();
+        }
       }
-      q.concurrent->AbsorbBatch(elements);
-      state.epoch_lag->Set(static_cast<double>(q.concurrent->epoch_lag()));
-    } else if (ingest_options_.shards > 1) {
-      if (!q.ingestor.has_value() ||
-          q.ingestor->num_shards() != ingest_options_.shards) {
-        StatusOr<ingest::ParallelIngestor<core::SkimmedSketch>> ingestor =
-            ingest::ParallelIngestor<core::SkimmedSketch>::Create(
-                q.sketch, ingest_options_.shards);
-        SKIMJOIN_RETURN_IF_ERROR(ingestor.status());
-        q.ingestor = *std::move(ingestor);
-      }
-      const uint64_t absorb_before = q.ingestor->stats().absorb_nanos;
-      const uint64_t merge_before = q.ingestor->stats().merge_nanos;
-      q.ingestor->IngestInto(&q.sketch, elements);
-      state.merges->Increment();
-      state.absorb_nanos->Increment(q.ingestor->stats().absorb_nanos -
-                                    absorb_before);
-      state.merge_nanos->Increment(q.ingestor->stats().merge_nanos -
-                                   merge_before);
-    } else {
-      q.sketch.UpdateBatch(elements);
-      PublishHashCacheDeltas(q);
+      if (projected_.empty()) continue;
+      SKIMJOIN_RETURN_IF_ERROR(q.synopsis->UpdateBatch(side, projected_));
     }
   }
   return OkStatus();
-}
-
-Status Engine::SetIngestShards(uint64_t num_shards) {
-  IngestOptions options = ingest_options_;
-  options.shards = num_shards;
-  return SetIngestOptions(options);
 }
 
 Status Engine::SetIngestOptions(const IngestOptions& options) {
@@ -852,17 +735,13 @@ Status Engine::SetIngestOptions(const IngestOptions& options) {
   if (options.propagation_interval_elements < 1) {
     return InvalidArgumentError("propagation interval must be >= 1");
   }
-  // Existing concurrent ingestors were built under the old configuration;
-  // linearize them out so no accepted element is lost, then let the next
-  // batch rebuild under the new knobs.
+  // Existing ingestors were built under the old configuration; linearize
+  // them out so no accepted element is lost, then let the next batch
+  // rebuild under the new knobs.
   FlushIngest();
-  for (auto& [id, q] : frequency_queries_) {
-    q.concurrent.reset();
-    // Parallel replicas are also per-shard-count; drop stale ones eagerly
-    // (the shards>1 path would rebuild anyway, this just frees memory).
-    if (q.ingestor.has_value() &&
-        q.ingestor->num_shards() != options.shards) {
-      q.ingestor.reset();
+  for (auto& [id, q] : queries_) {
+    if (auto* frequency = dynamic_cast<FrequencySynopsis*>(q.synopsis.get())) {
+      frequency->ResetIngest();
     }
   }
   ingest_options_ = options;
@@ -870,12 +749,12 @@ Status Engine::SetIngestOptions(const IngestOptions& options) {
 }
 
 void Engine::FlushIngest() {
-  for (auto& [id, q] : frequency_queries_) {
-    if (q.concurrent == nullptr) continue;
-    q.concurrent->Flush();
-    StreamState& state = streams_[q.stream];
-    state.merges->Increment();
-    state.epoch_lag->Set(0.0);
+  for (auto& [id, q] : queries_) {
+    auto* frequency = dynamic_cast<FrequencySynopsis*>(q.synopsis.get());
+    // The cache epoch counts elements when UpdateBatch hands them to the
+    // workers, so an answer cached before the flush may come from a
+    // lagging snapshot: drop it.
+    if (frequency != nullptr && frequency->Flush()) query_cache_.DropQuery(id);
   }
 }
 
@@ -884,15 +763,10 @@ void Engine::SetKernelOptions(const sketch::KernelOptions& options) {
   // Concurrent replicas were copied under the old kernels; linearize them
   // out before the rebuild so no accepted element is lost.
   FlushIngest();
-  for (auto& [id, q] : frequency_queries_) {
-    q.concurrent.reset();
-    q.sketch.SetKernelOptions(options);
-    // Replicas were copied from the sketch under the old options; drop them
-    // so the next sharded batch rebuilds with the new kernels.
-    q.ingestor.reset();
-    // The sketch's tallies restarted with its rebuilt caches.
-    q.cache_hits_seen = 0;
-    q.cache_misses_seen = 0;
+  for (auto& [id, q] : queries_) {
+    if (auto* frequency = dynamic_cast<FrequencySynopsis*>(q.synopsis.get())) {
+      frequency->SetKernelOptions(options);
+    }
   }
 }
 
@@ -921,17 +795,19 @@ Status Engine::AttachAccuracyReference(
   return OkStatus();
 }
 
-void Engine::MaybeRecordJoinDrift(QueryId query, const JoinQueryState& q,
+void Engine::MaybeRecordJoinDrift(QueryId query, const QueryState& q,
                                   double estimate) const {
-  const stream::FrequencyVector* left = streams_[q.left].reference;
-  const stream::FrequencyVector* right = streams_[q.right].reference;
+  const stream::FrequencyVector* left =
+      streams_[q.subscriptions[0].stream].reference;
+  const stream::FrequencyVector* right =
+      streams_[q.subscriptions[1].stream].reference;
   if (left == nullptr || right == nullptr) return;
   // The reference holds raw frequencies: only an unfiltered COUNT join has
   // an exact counterpart to compare against.
-  if (q.left_predicate.has_value() || q.right_predicate.has_value()) return;
-  if (q.left_input != AggregateInput::kCount ||
-      q.right_input != AggregateInput::kCount) {
-    return;
+  for (const Subscription& side : q.subscriptions) {
+    if (side.predicate.has_value() || side.input != AggregateInput::kCount) {
+      return;
+    }
   }
   if (left->domain_size() != right->domain_size()) return;
   RecordRelError(query, q.metrics.rel_error, estimate,
@@ -939,119 +815,102 @@ void Engine::MaybeRecordJoinDrift(QueryId query, const JoinQueryState& q,
 }
 
 StatusOr<double> Engine::AnswerJoin(QueryId query) const {
-  const auto it = join_queries_.find(query);
-  if (it == join_queries_.end()) {
-    return NotFoundError("unknown join query id");
-  }
-  const JoinQueryState& q = it->second;
+  const auto [q, join] = FindQuery<JoinSynopsis>(query);
+  if (join == nullptr) return NotFoundError("unknown join query id");
+  QueryCache::Epochs epochs{};
   if (read_path_.use_query_cache) {
-    const QueryCache::Epochs epochs = EpochsFor(q);
+    epochs = EpochsFor(*q);
     QueryCache::Outcome outcome;
     const std::optional<double> cached =
         query_cache_.LookupJoin(query, epochs, &outcome);
-    CountCacheOutcome(q.metrics, outcome);
+    CountCacheOutcome(q->metrics, outcome);
     if (cached.has_value()) {
       // Hit path stays O(lookup): count the call but take no trace span
       // and no latency sample — estimate_ns measures actual estimator
       // executions. The answer is bit-identical to a recompute (the
       // estimator is deterministic and no participating stream advanced),
       // so the drift record stays meaningful too.
-      q.metrics.estimate_calls->Increment();
-      MaybeRecordJoinDrift(query, q, *cached);
+      q->metrics.estimate_calls->Increment();
+      MaybeRecordJoinDrift(query, *q, *cached);
       return *cached;
     }
-    metrics::TraceSpan span("estimate", "query");
-    ScopedEstimate timer(q.metrics.estimate_calls, q.metrics.estimate_ns);
-    StatusOr<double> estimate = q.estimator->Estimate();
-    if (estimate.ok()) {
-      query_cache_.StoreJoin(query, epochs, *estimate);
-      MaybeRecordJoinDrift(query, q, *estimate);
-    }
-    return estimate;
   }
-  metrics::TraceSpan span("estimate", "query");
-  ScopedEstimate timer(q.metrics.estimate_calls, q.metrics.estimate_ns);
-  StatusOr<double> estimate = q.estimator->Estimate();
-  if (estimate.ok()) MaybeRecordJoinDrift(query, q, *estimate);
+  ScopedEstimate timer(q->metrics.estimate_calls, q->metrics.estimate_ns);
+  StatusOr<double> estimate = join->pair().Estimate();
+  if (estimate.ok()) {
+    if (read_path_.use_query_cache) {
+      query_cache_.StoreJoin(query, epochs, *estimate);
+    }
+    MaybeRecordJoinDrift(query, *q, *estimate);
+  }
   return estimate;
 }
 
 StatusOr<EstimateReport> Engine::AnswerJoinWithReport(QueryId query) const {
-  const auto it = join_queries_.find(query);
-  if (it == join_queries_.end()) {
-    return NotFoundError("unknown join query id");
-  }
-  const JoinQueryState& q = it->second;
-  metrics::TraceSpan span("estimate", "query");
-  ScopedEstimate timer(q.metrics.estimate_calls, q.metrics.estimate_ns);
-  StatusOr<EstimateReport> report = q.estimator->EstimateWithReport();
+  const auto [q, join] = FindQuery<JoinSynopsis>(query);
+  if (join == nullptr) return NotFoundError("unknown join query id");
+  ScopedEstimate timer(q->metrics.estimate_calls, q->metrics.estimate_ns);
+  StatusOr<EstimateReport> report = join->pair().EstimateWithReport();
   if (report.ok()) {
     // Probe AFTER the estimate so skimmed probes compare against the
     // baselines this very answer just recorded. Probes are read-only;
     // the estimate is still bit-identical to AnswerJoin.
-    report->health = q.estimator->HealthProbe();
-    MaybeRecordJoinDrift(query, q, report->estimate);
-    RecordReportMetrics(query, q.metrics, *report);
+    report->health = join->HealthProbe();
+    MaybeRecordJoinDrift(query, *q, report->estimate);
+    RecordReportMetrics(query, q->metrics, *report);
   }
   return report;
 }
 
 StatusOr<int64_t> Engine::AnswerPointFrequency(QueryId query,
                                                uint64_t value) const {
-  const auto it = frequency_queries_.find(query);
-  if (it == frequency_queries_.end()) {
+  const auto [q, frequency] = FindQuery<FrequencySynopsis>(query);
+  if (frequency == nullptr) {
     return NotFoundError("unknown frequency query id");
   }
-  const FrequencyQueryState& q = it->second;
-  const StreamState& state = streams_[q.stream];
+  const Subscription& subscription = q->subscriptions[0];
+  const StreamState& state = streams_[subscription.stream];
   if (value >= state.spec.domain_size) {
     return OutOfRangeError("value outside the domain of stream " +
                            state.spec.name);
   }
+  // Drift is only comparable without a predicate: the reference holds the
+  // unfiltered stream.
+  const bool track_drift =
+      state.reference != nullptr && !subscription.predicate.has_value();
   QueryCache::Epochs epochs{};
   if (read_path_.use_query_cache) {
-    epochs = EpochsFor(q);
+    epochs = EpochsFor(*q);
     QueryCache::Outcome outcome;
     const std::optional<int64_t> cached =
         query_cache_.LookupPoint(query, value, epochs, &outcome);
-    CountCacheOutcome(q.metrics, outcome);
+    CountCacheOutcome(q->metrics, outcome);
     if (cached.has_value()) {
       // Hit path stays O(lookup): count the call but take no trace span
       // and no latency sample — estimate_ns measures actual estimator
       // executions.
-      q.metrics.estimate_calls->Increment();
-      if (state.reference != nullptr && !q.predicate.has_value()) {
-        RecordRelError(query, q.metrics.rel_error,
+      q->metrics.estimate_calls->Increment();
+      if (track_drift) {
+        RecordRelError(query, q->metrics.rel_error,
                        static_cast<double>(*cached),
                        static_cast<double>(state.reference->Get(value)));
       }
       return *cached;
     }
   }
-  metrics::TraceSpan span("estimate", "query");
-  ScopedEstimate timer(q.metrics.estimate_calls, q.metrics.estimate_ns);
-  // Under concurrent ingestion: a whole-epoch (bounded-staleness) snapshot
-  // of the sketch, taken without blocking in-flight absorbs.
-  const FrequencyReadLock read_lock = ReadLockFor(q);
-  int64_t estimate;
-  if (read_path_.use_slim_views) {
-    // Two-stage read: refresh the slim view iff the fat epoch advanced,
-    // then answer from the packed counters — bit-identical to the fat
-    // sketch's COUNTSKETCH median.
-    if (!q.slim.has_value()) {
-      q.slim.emplace(q.sketch.level0());
-    } else {
-      q.slim->Refresh(q.sketch.level0());
-    }
-    estimate = q.slim->PointEstimate(value);
-  } else {
-    estimate = q.sketch.EstimatePointFrequency(value);
+  ScopedEstimate timer(q->metrics.estimate_calls, q->metrics.estimate_ns);
+  int64_t estimate = 0;
+  {
+    // Under concurrent ingestion: a whole-epoch (bounded-staleness)
+    // snapshot of the sketch, taken without blocking in-flight absorbs.
+    const FrequencySynopsis::ReadLock read_lock = frequency->ReaderLock();
+    estimate = frequency->sketch().EstimatePointFrequency(value);
   }
   if (read_path_.use_query_cache) {
     query_cache_.StorePoint(query, value, epochs, estimate);
   }
-  if (state.reference != nullptr && !q.predicate.has_value()) {
-    RecordRelError(query, q.metrics.rel_error, static_cast<double>(estimate),
+  if (track_drift) {
+    RecordRelError(query, q->metrics.rel_error, static_cast<double>(estimate),
                    static_cast<double>(state.reference->Get(value)));
   }
   return estimate;
@@ -1059,32 +918,29 @@ StatusOr<int64_t> Engine::AnswerPointFrequency(QueryId query,
 
 StatusOr<core::DenseFrequencies> Engine::AnswerHeavyHitters(
     QueryId query, int64_t threshold) const {
-  const auto it = frequency_queries_.find(query);
-  if (it == frequency_queries_.end()) {
+  const auto [q, frequency] = FindQuery<FrequencySynopsis>(query);
+  if (frequency == nullptr) {
     return NotFoundError("unknown frequency query id");
   }
   if (threshold < 1) {
     return InvalidArgumentError("heavy-hitter threshold must be >= 1");
   }
-  const FrequencyQueryState& q = it->second;
-  metrics::TraceSpan span("estimate", "query");
-  ScopedEstimate timer(q.metrics.estimate_calls, q.metrics.estimate_ns);
-  const FrequencyReadLock read_lock = ReadLockFor(q);
-  return q.sketch.HeavyHitters(threshold);
+  ScopedEstimate timer(q->metrics.estimate_calls, q->metrics.estimate_ns);
+  const FrequencySynopsis::ReadLock read_lock = frequency->ReaderLock();
+  return frequency->sketch().HeavyHitters(threshold);
 }
 
 StatusOr<double> Engine::AnswerDistinctCount(QueryId query) const {
-  const auto it = distinct_queries_.find(query);
-  if (it == distinct_queries_.end()) {
+  const auto [q, distinct] = FindQuery<DistinctSynopsis>(query);
+  if (distinct == nullptr) {
     return NotFoundError("unknown distinct-count query id");
   }
-  const DistinctQueryState& q = it->second;
-  metrics::TraceSpan span("estimate", "query");
-  ScopedEstimate timer(q.metrics.estimate_calls, q.metrics.estimate_ns);
-  const double estimate = q.sketch.EstimateDistinctCount();
-  const StreamState& state = streams_[q.stream];
-  if (state.reference != nullptr && !q.predicate.has_value()) {
-    RecordRelError(query, q.metrics.rel_error, estimate,
+  ScopedEstimate timer(q->metrics.estimate_calls, q->metrics.estimate_ns);
+  const double estimate = distinct->sketch().EstimateDistinctCount();
+  const Subscription& subscription = q->subscriptions[0];
+  const StreamState& state = streams_[subscription.stream];
+  if (state.reference != nullptr && !subscription.predicate.has_value()) {
+    RecordRelError(query, q->metrics.rel_error, estimate,
                    static_cast<double>(state.reference->SupportSize()));
   }
   return estimate;
@@ -1092,92 +948,57 @@ StatusOr<double> Engine::AnswerDistinctCount(QueryId query) const {
 
 StatusOr<std::vector<std::pair<uint64_t, int64_t>>> Engine::AnswerTopK(
     QueryId query) const {
-  const auto it = topk_queries_.find(query);
-  if (it == topk_queries_.end()) {
-    return NotFoundError("unknown top-k query id");
-  }
-  const TopKQueryState& q = it->second;
-  metrics::TraceSpan span("estimate", "query");
-  ScopedEstimate timer(q.metrics.estimate_calls, q.metrics.estimate_ns);
-  return q.tracker.TopK();
+  const auto [q, topk] = FindQuery<TopKSynopsis>(query);
+  if (topk == nullptr) return NotFoundError("unknown top-k query id");
+  ScopedEstimate timer(q->metrics.estimate_calls, q->metrics.estimate_ns);
+  return topk->tracker().TopK();
 }
 
 StatusOr<uint64_t> Engine::AnswerQuantile(QueryId query, double phi) const {
-  const auto it = quantile_queries_.find(query);
-  if (it == quantile_queries_.end()) {
-    return NotFoundError("unknown quantile query id");
-  }
-  const QuantileQueryState& q = it->second;
-  metrics::TraceSpan span("estimate", "query");
-  ScopedEstimate timer(q.metrics.estimate_calls, q.metrics.estimate_ns);
-  return q.summary.Quantile(phi);
+  const auto [q, quantile] = FindQuery<QuantileSynopsis>(query);
+  if (quantile == nullptr) return NotFoundError("unknown quantile query id");
+  ScopedEstimate timer(q->metrics.estimate_calls, q->metrics.estimate_ns);
+  return quantile->summary().Quantile(phi);
 }
 
 StatusOr<double> Engine::AnswerRangeSum(QueryId query, uint64_t lo,
                                         uint64_t hi) const {
-  const auto it = range_sum_queries_.find(query);
-  if (it == range_sum_queries_.end()) {
+  const auto [q, range_sum] = FindQuery<RangeSumSynopsis>(query);
+  if (range_sum == nullptr) {
     return NotFoundError("unknown range-sum query id");
   }
-  const RangeSumQueryState& q = it->second;
-  metrics::TraceSpan span("estimate", "query");
-  ScopedEstimate timer(q.metrics.estimate_calls, q.metrics.estimate_ns);
-  return q.synopsis.RangeSum(lo, hi);
+  ScopedEstimate timer(q->metrics.estimate_calls, q->metrics.estimate_ns);
+  return range_sum->synopsis().RangeSum(lo, hi);
 }
 
 StatusOr<double> Engine::AnswerChainJoin(QueryId query) const {
-  const auto it = chain_queries_.find(query);
-  if (it == chain_queries_.end()) {
-    return NotFoundError("unknown chain-join query id");
-  }
-  const ChainJoinQueryState& state = it->second;
-  metrics::TraceSpan span("estimate", "query");
-  ScopedEstimate timer(state.metrics.estimate_calls,
-                       state.metrics.estimate_ns);
-  return state.grid.has_value() ? state.grid->Estimate()
-                                : state.hashed->Estimate();
+  const auto [q, chain] = FindQuery<ChainJoinSynopsis>(query);
+  if (chain == nullptr) return NotFoundError("unknown chain-join query id");
+  ScopedEstimate timer(q->metrics.estimate_calls, q->metrics.estimate_ns);
+  return chain->Estimate();
 }
 
 StatusOr<EstimateReport> Engine::AnswerChainJoinWithReport(
     QueryId query) const {
-  const auto it = chain_queries_.find(query);
-  if (it == chain_queries_.end()) {
-    return NotFoundError("unknown chain-join query id");
-  }
-  const ChainJoinQueryState& state = it->second;
-  metrics::TraceSpan span("estimate", "query");
-  ScopedEstimate timer(state.metrics.estimate_calls,
-                       state.metrics.estimate_ns);
-  EstimateReport report = state.grid.has_value()
-                              ? state.grid->EstimateWithReport()
-                              : state.hashed->EstimateWithReport();
-  RecordReportMetrics(query, state.metrics, report);
+  const auto [q, chain] = FindQuery<ChainJoinSynopsis>(query);
+  if (chain == nullptr) return NotFoundError("unknown chain-join query id");
+  ScopedEstimate timer(q->metrics.estimate_calls, q->metrics.estimate_ns);
+  EstimateReport report = chain->EstimateWithReport();
+  RecordReportMetrics(query, q->metrics, report);
   return report;
 }
 
 Status Engine::SerializeQuerySynopsis(QueryId query, std::string* out) const {
+  const auto it = queries_.find(query);
+  if (it == queries_.end()) {
+    return NotFoundError("unknown query id " + std::to_string(query));
+  }
   // Serialized synopses feed distributed delta pulls and must be exact;
   // linearize any in-flight concurrent ingestion first. Writer-thread only
   // (like every engine read), so the const_cast mutates nothing reentrant.
   const_cast<Engine*>(this)->FlushIngest();
   std::ostringstream record;
-  if (const auto it = join_queries_.find(query); it != join_queries_.end()) {
-    SKIMJOIN_RETURN_IF_ERROR(it->second.estimator->SerializeTo(record));
-  } else if (const auto fit = frequency_queries_.find(query);
-             fit != frequency_queries_.end()) {
-    SKIMJOIN_RETURN_IF_ERROR(fit->second.sketch.SerializeTo(record));
-  } else if (const auto cit = chain_queries_.find(query);
-             cit != chain_queries_.end()) {
-    if (cit->second.grid.has_value()) {
-      SKIMJOIN_RETURN_IF_ERROR(cit->second.grid->SerializeTo(record));
-    } else {
-      SKIMJOIN_RETURN_IF_ERROR(cit->second.hashed->SerializeTo(record));
-    }
-  } else {
-    return NotFoundError(
-        "no serializable synopsis for query id " + std::to_string(query) +
-        " (only join/self-join, frequency, and chain-join queries have one)");
-  }
+  SKIMJOIN_RETURN_IF_ERROR(it->second.synopsis->SerializeTo(record));
   *out = std::move(record).str();
   return OkStatus();
 }
@@ -1195,52 +1016,19 @@ std::vector<std::string> Engine::StreamNames() const {
   return names;
 }
 
-void Engine::PublishHashCacheDeltas(const FrequencyQueryState& q) const {
-  if (q.stream >= streams_.size()) return;
-  const StreamState& state = streams_[q.stream];
-  const uint64_t hits = q.sketch.hash_cache_hits();
-  const uint64_t misses = q.sketch.hash_cache_misses();
-  if (hits > q.cache_hits_seen) {
-    state.hash_cache_hits->Increment(hits - q.cache_hits_seen);
-  }
-  if (misses > q.cache_misses_seen) {
-    state.hash_cache_misses->Increment(misses - q.cache_misses_seen);
-  }
-  q.cache_hits_seen = hits;
-  q.cache_misses_seen = misses;
-}
-
 void Engine::RefreshMetricsGauges() const {
   // Gauges are refreshed pull-style: footprints change on every update, so
   // pushing them from the hot path would cost more than anyone reading
   // them. Runs on the writer thread only — it walks the query containers.
-  for (const auto& [id, q] : join_queries_) {
-    q.metrics.memory_bytes->Set(
-        static_cast<double>(q.estimator->MemoryBytes()));
-  }
-  for (const auto& [id, q] : frequency_queries_) {
-    q.metrics.memory_bytes->Set(static_cast<double>(q.sketch.MemoryBytes()));
-    // Scalar updates bump the sketch-side tallies without passing through
-    // the batch path's export; pull the deltas here so snapshots stay
-    // current for scalar-only sessions.
-    PublishHashCacheDeltas(q);
-  }
-  for (const auto& [id, q] : distinct_queries_) {
-    q.metrics.memory_bytes->Set(static_cast<double>(q.sketch.MemoryBytes()));
-  }
-  for (const auto& [id, q] : topk_queries_) {
-    q.metrics.memory_bytes->Set(static_cast<double>(q.tracker.MemoryBytes()));
-  }
-  for (const auto& [id, q] : quantile_queries_) {
-    q.metrics.memory_bytes->Set(static_cast<double>(q.summary.MemoryBytes()));
-  }
-  for (const auto& [id, q] : range_sum_queries_) {
-    q.metrics.memory_bytes->Set(
-        static_cast<double>(q.synopsis.MemoryBytes()));
-  }
-  for (const auto& [id, q] : chain_queries_) {
-    q.metrics.memory_bytes->Set(static_cast<double>(
-        q.grid.has_value() ? q.grid->MemoryBytes() : q.hashed->MemoryBytes()));
+  for (const auto& [id, q] : queries_) {
+    q.metrics.memory_bytes->Set(static_cast<double>(q.synopsis->MemoryBytes()));
+    // Scalar updates bump the sketch-side plan-cache tallies without
+    // passing through the batch path's export; pull the deltas here so
+    // snapshots stay current for scalar-only sessions.
+    if (const auto* frequency =
+            dynamic_cast<const FrequencySynopsis*>(q.synopsis.get())) {
+      frequency->PublishHashCacheDeltas();
+    }
   }
 #ifndef SKIMJOIN_DISABLE_PROFILER
   for (const StreamState& state : streams_) {
@@ -1301,10 +1089,10 @@ HealthReport Engine::HealthReport() const {
   for (const StreamState& state : streams_) {
     StreamHealth health;
     health.stream = state.spec.name;
-    health.elements_absorbed = state.absorbed->Value();
-    health.elements_dropped = state.dropped->Value();
-    const uint64_t hits = state.hash_cache_hits->Value();
-    const uint64_t misses = state.hash_cache_misses->Value();
+    health.elements_absorbed = state.counters.absorbed->Value();
+    health.elements_dropped = state.counters.dropped->Value();
+    const uint64_t hits = state.counters.hash_cache_hits->Value();
+    const uint64_t misses = state.counters.hash_cache_misses->Value();
     health.hash_cache_hit_rate =
         hits + misses == 0
             ? std::numeric_limits<double>::quiet_NaN()
@@ -1317,47 +1105,33 @@ HealthReport Engine::HealthReport() const {
     report.streams.push_back(std::move(health));
   }
 
-  for (const auto& [id, q] : join_queries_) {
+  // Kinds without probe support (sampling joins, distinct, top-k, ...)
+  // return no probes and contribute nothing to the health picture.
+  for (const auto& [id, q] : queries_) {
     QueryHealth health;
+    health.synopses = q.synopsis->HealthProbe();
+    if (health.synopses.empty()) continue;
     health.id = id;
-    health.kind = "join";
-    health.method = q.estimator->Name();
-    health.streams =
-        streams_[q.left].spec.name + "⋈" + streams_[q.right].spec.name;
-    health.synopses = q.estimator->HealthProbe();
-    // Methods without probe support (e.g. sampling) return no probes and
-    // contribute nothing to the health picture.
-    if (!health.synopses.empty()) report.queries.push_back(std::move(health));
-  }
-  for (const auto& [id, q] : frequency_queries_) {
-    QueryHealth health;
-    health.id = id;
-    health.kind = "frequency";
-    health.method = "skimmed";
-    health.streams = streams_[q.stream].spec.name;
-    health.synopses.push_back(q.sketch.HealthProbe());
-    if (std::optional<SynopsisHealth> dyadic = q.sketch.DyadicHealthProbe()) {
-      health.synopses.push_back(*std::move(dyadic));
+    health.kind = QueryKindName(q.spec);
+    const auto* join = std::get_if<JoinQuerySpec>(&q.spec);
+    health.method =
+        join != nullptr ? core::EstimatorKindName(join->estimator.kind)
+                        : "skimmed";
+    for (const Subscription& subscription : q.subscriptions) {
+      if (!health.streams.empty()) health.streams += "⋈";
+      health.streams += streams_[subscription.stream].spec.name;
     }
-    report.queries.push_back(std::move(health));
-  }
-  std::sort(report.queries.begin(), report.queries.end(),
-            [](const QueryHealth& a, const QueryHealth& b) {
-              return a.id < b.id;
-            });
-
-  // Publish the per-query health gauges (max across the query's synopses)
-  // so scrapes between HealthReport calls still see the last probe.
-  for (const QueryHealth& query : report.queries) {
-    const std::string prefix =
-        "query." + std::to_string(query.id) + ".health.";
+    // Publish the per-query health gauges (max across the query's
+    // synopses) so scrapes between HealthReport calls still see the last
+    // probe.
+    const std::string prefix = "query." + std::to_string(id) + ".health.";
     double occupancy = 0.0, saturation = 0.0, pressure = 0.0;
     bool any_pressure = false;
-    for (const SynopsisHealth& health : query.synopses) {
-      occupancy = std::max(occupancy, health.occupancy);
-      saturation = std::max(saturation, health.int32_saturation);
-      if (!std::isnan(health.collision_pressure)) {
-        pressure = std::max(pressure, health.collision_pressure);
+    for (const SynopsisHealth& probe : health.synopses) {
+      occupancy = std::max(occupancy, probe.occupancy);
+      saturation = std::max(saturation, probe.int32_saturation);
+      if (!std::isnan(probe.collision_pressure)) {
+        pressure = std::max(pressure, probe.collision_pressure);
         any_pressure = true;
       }
     }
@@ -1366,6 +1140,7 @@ HealthReport Engine::HealthReport() const {
     if (any_pressure) {
       metrics_.GetGauge(prefix + "collision_pressure")->Set(pressure);
     }
+    report.queries.push_back(std::move(health));
   }
 
   // Rule pass. Stream-level rules first, then per-synopsis rules, so the
@@ -1420,7 +1195,8 @@ HealthReport Engine::HealthReport() const {
              synopsis + " counter p99 at " +
                  TablePrinter::FormatDouble(100.0 * health.int32_saturation,
                                             1) +
-                 "% of int32 — slim views will fall back to int64",
+                 "% of int32 — counters are outgrowing 32 bits; int64 "
+                 "overflow is still far off",
              ""});
       }
       if ((!std::isnan(health.collision_pressure) &&
@@ -1469,13 +1245,7 @@ void Engine::Clear() {
   stream_ids_.clear();
   relations_.clear();
   relation_ids_.clear();
-  join_queries_.clear();
-  frequency_queries_.clear();
-  distinct_queries_.clear();
-  topk_queries_.clear();
-  quantile_queries_.clear();
-  range_sum_queries_.clear();
-  chain_queries_.clear();
+  queries_.clear();
   next_query_id_ = 1;
   ingest_options_ = IngestOptions{};
   // Entries guard on per-stream epochs that are about to reset with the

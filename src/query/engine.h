@@ -29,21 +29,14 @@
 
 #include "core/join_estimators.h"
 #include "core/skimmed_sketch.h"
-#include "core/top_k.h"
-#include "ingest/concurrent_ingestor.h"
 #include "ingest/ingest_stats.h"
-#include "ingest/parallel_ingestor.h"
 #include "query/checkpoint.h"
-#include "query/multi_join.h"
-#include "query/multi_join_hash.h"
 #include "query/query.h"
 #include "query/query_cache.h"
-#include "sketch/fm_sketch.h"
+#include "query/synopsis.h"
 #include "sketch/kernel_options.h"
-#include "sketch/slim_view.h"
 #include "stream/frequency_vector.h"
-#include "stream/gk_quantiles.h"
-#include "stream/wavelet.h"
+#include "stream/stream_element.h"
 #include "util/metrics.h"
 #include "util/status.h"
 #include "util/stream_profiler.h"
@@ -127,7 +120,7 @@ struct StreamUpdate {
 
 /// The engine. Single-writer: ONE thread drives registration and ingestion
 /// (Update / UpdateBatch) at a time. UpdateBatch may internally fan a batch
-/// out across shard worker threads (see SetIngestShards), but those workers
+/// out across shard worker threads (see SetIngestOptions), but those workers
 /// live only inside the call — externally the engine remains a single-writer
 /// structure, per the single-pass stream model and DESIGN.md's "Threading &
 /// ingestion model". With IngestOptions.concurrent on (DESIGN.md §13) the
@@ -202,42 +195,19 @@ class Engine {
   /// and domain validation are hoisted out of the per-element loop;
   /// out-of-domain elements are dropped and counted in the stream's ingest
   /// stats (the rest of the batch is still absorbed, and the call stays
-  /// OK). Frequency-query synopses take the batch through
-  /// SkimmedSketch::UpdateBatch — sharded across SetIngestShards() worker
-  /// threads for large batches — with results identical to element-by-
-  /// element Update. NOT_FOUND for an unknown stream.
+  /// OK). Each subscribed synopsis takes its projection of the batch at
+  /// once — through the sketches' batch kernels, and for frequency queries
+  /// sharded across IngestOptions::shards worker threads for large batches
+  /// — with results identical to element-by-element Update. NOT_FOUND for
+  /// an unknown stream.
   Status UpdateBatch(const std::string& stream,
                      std::span<const StreamUpdate> updates);
   Status UpdateBatch(StreamId stream, std::span<const StreamUpdate> updates);
 
-  /// Worker threads UpdateBatch may fan a large batch out to (per
-  /// frequency-query synopsis, via ingest::ParallelIngestor). 1 — the
-  /// default — keeps ingestion fully inline. INVALID_ARGUMENT for 0.
-  /// Equivalent to SetIngestOptions with only `shards` changed.
-  Status SetIngestShards(uint64_t num_shards);
-
-  /// Full ingestion-concurrency configuration (DESIGN.md §13).
-  struct IngestOptions {
-    /// Worker threads per frequency-query synopsis. With `concurrent` off
-    /// this is the ParallelIngestor shard count (join-then-merge inside
-    /// each UpdateBatch); with it on, the ConcurrentIngestor worker count.
-    uint64_t shards = 1;
-    /// Relaxed-consistency concurrent ingestion: UpdateBatch hands chunks
-    /// to persistent workers and returns WITHOUT waiting; workers fold
-    /// into private replicas and propagate into the query synopsis on
-    /// epoch boundaries. Point-frequency / heavy-hitter answers then read
-    /// a bounded-staleness (but always internally consistent) snapshot
-    /// until FlushIngest() linearizes. Exactness everywhere else is
-    /// preserved: serialization, checkpoints, and health reports flush
-    /// first.
-    bool concurrent = false;
-    /// Propagation cadence and hard staleness bound, forwarded to
-    /// ingest::ConcurrentIngestOptions (ignored unless `concurrent`).
-    uint64_t propagation_interval_elements = 1 << 16;
-    uint64_t max_lag_elements = 1 << 20;
-    /// Pin ingest workers to CPUs (NUMA first-touch replica locality).
-    bool pin_threads = false;
-  };
+  /// Full ingestion-concurrency configuration (DESIGN.md §13): worker
+  /// threads per frequency-query synopsis (1, the default, keeps ingestion
+  /// inline) and the concurrent mode's knobs. See query/synopsis.h.
+  using IngestOptions = query::IngestOptions;
 
   /// Reconfigures ingestion. Flushes and drops existing concurrent
   /// ingestors first, so switching modes never loses elements.
@@ -249,8 +219,9 @@ class Engine {
   /// Linearization point for concurrent ingestion: blocks until every
   /// element accepted by UpdateBatch is folded into its query synopsis.
   /// Afterwards answers are exact (identical to sequential ingestion) and
-  /// every `ingest.<stream>.epoch_lag` gauge reads 0. No-op when
-  /// concurrent mode is off or nothing is pending.
+  /// every `ingest.<stream>.epoch_lag` gauge reads 0. Cached answers of
+  /// every flushed query are dropped, since they may come from a lagging
+  /// snapshot. No-op when concurrent mode is off.
   void FlushIngest();
 
   /// Selects the sketch update fast paths (DESIGN.md §10) for every
@@ -264,22 +235,18 @@ class Engine {
     return kernel_options_;
   }
 
-  /// The two-stage read path (DESIGN.md §11). Both stages answer
-  /// bit-identically to the classic read path; both default OFF so existing
-  /// embedders see no behavior change until they opt in.
+  /// The read path (DESIGN.md §11). Cached answers are bit-identical to
+  /// recomputed ones; the cache defaults OFF so existing embedders see no
+  /// behavior change until they opt in.
   struct ReadPathOptions {
     /// Epoch-invalidated answer cache over AnswerJoin /
     /// AnswerPointFrequency (query/query_cache.h): an answer is recomputed
     /// only when a participating stream's absorbed-element epoch advanced.
     bool use_query_cache = false;
-    /// Serve point frequencies from an epoch-gated sketch::SlimView of
-    /// each frequency query's level-0 sketch instead of the fat sketch.
-    bool use_slim_views = false;
   };
 
   /// Selects the read path. Turning the cache off drops every cached
-  /// entry; turning slim views off drops the views (both rebuild from the
-  /// fat synopses on the next enable, so toggling is always safe).
+  /// entry, so toggling is always safe.
   void SetReadPathOptions(const ReadPathOptions& options);
 
   const ReadPathOptions& read_path_options() const { return read_path_; }
@@ -452,12 +419,12 @@ class Engine {
                                             const RestoreOptions& options = {});
 
   /// Writes one query's synopsis as its family's self-describing text
-  /// record (the same serializers checkpoints use): a join/self-join
+  /// record (the same serializers checkpoints use): e.g. a join/self-join
   /// query's estimator-pair record, a frequency query's skimmed-sketch
-  /// record, or a chain-join query's multi-join estimator record. This is the payload of a distributed worker's delta pull — a
-  /// compatible synopsis on the coordinator can Merge/RestoreFrom it.
-  /// NOT_FOUND for an unknown id or a query kind without a serializable
-  /// synopsis; UNIMPLEMENTED for non-serializable estimator methods.
+  /// record, or a chain-join query's multi-join estimator record. This is
+  /// the payload of a distributed worker's delta pull — a compatible
+  /// synopsis on the coordinator can Merge/RestoreFrom it. NOT_FOUND for
+  /// an unknown id; UNIMPLEMENTED for non-serializable estimator methods.
   Status SerializeQuerySynopsis(QueryId query, std::string* out) const;
 
   /// Drops every stream, relation, and query, returning the engine to its
@@ -466,33 +433,13 @@ class Engine {
 
   uint64_t num_streams() const { return streams_.size(); }
   uint64_t num_relations() const { return relations_.size(); }
-  uint64_t num_queries() const {
-    return join_queries_.size() + frequency_queries_.size() +
-           distinct_queries_.size() + topk_queries_.size() +
-           quantile_queries_.size() + range_sum_queries_.size() +
-           chain_queries_.size();
-  }
+  uint64_t num_queries() const { return queries_.size(); }
 
  private:
   struct StreamState {
     StreamSpec spec;
     int64_t element_count = 0;
-    // Registry-backed ingest counters (`ingest.<name>.*`); the pointees are
-    // owned by metrics_ and stay valid until Clear().
-    metrics::Counter* absorbed = nullptr;
-    metrics::Counter* batches = nullptr;
-    metrics::Counter* dropped = nullptr;
-    metrics::Counter* merges = nullptr;
-    metrics::Counter* absorb_nanos = nullptr;
-    metrics::Counter* merge_nanos = nullptr;
-    // Plan-cache hit/miss totals over this stream's frequency-query
-    // synopses, accumulated on the inline batch path (sharded replicas keep
-    // their caches worker-local; see docs/OBSERVABILITY.md).
-    metrics::Counter* hash_cache_hits = nullptr;
-    metrics::Counter* hash_cache_misses = nullptr;
-    // Elements accepted by concurrent-mode UpdateBatch but not yet visible
-    // to readers (`ingest.<name>.epoch_lag`); 0 outside concurrent mode.
-    metrics::Gauge* epoch_lag = nullptr;
+    StreamCounters counters;
     // Exact frequencies for accuracy-drift monitoring; caller-owned, null
     // when no reference is attached.
     const stream::FrequencyVector* reference = nullptr;
@@ -518,84 +465,25 @@ class Engine {
     metrics::Counter* cache_invalidations = nullptr;
   };
 
-  /// A join (or self-join) query: the estimator pair plus the routing data
-  /// needed to feed it. Every query state also keeps the registration spec
-  /// and seed so SaveCheckpoint can record how to re-create the query.
-  struct JoinQueryState {
-    std::unique_ptr<core::JoinEstimatorPair> estimator;
-    StreamId left;
-    StreamId right;
-    AggregateInput left_input;
-    AggregateInput right_input;
-    std::optional<RangePredicate> left_predicate;
-    std::optional<RangePredicate> right_predicate;
-    JoinQuerySpec spec;
+  /// One stream a query's synopsis listens to. The subscription's index in
+  /// QueryState::subscriptions is the `side` its elements arrive on.
+  struct Subscription {
+    StreamId stream = 0;
+    std::optional<RangePredicate> predicate;
+    AggregateInput input = AggregateInput::kCount;
+  };
+
+  /// One standing query of any kind: its subscriptions, its instruments,
+  /// its one synopsis, and the registration spec and seed (so
+  /// SaveCheckpoint can record how to re-create it). Chain joins subscribe
+  /// to no stream; their tuples arrive through UpdateRelation. The fields
+  /// an answer reads come first, ahead of the large spec.
+  struct QueryState {
+    std::vector<Subscription> subscriptions;
+    QueryMetrics metrics;
+    std::unique_ptr<Synopsis> synopsis;
+    QuerySpec spec;
     uint64_t seed = 0;
-    QueryMetrics metrics;
-  };
-
-  struct FrequencyQueryState {
-    core::SkimmedSketch sketch;
-    StreamId stream;
-    std::optional<RangePredicate> predicate;
-    /// Lazily built sharded pipeline for this query's sketch; rebuilt when
-    /// the engine's shard count changes.
-    std::optional<ingest::ParallelIngestor<core::SkimmedSketch>> ingestor;
-    FrequencyQuerySpec spec;
-    uint64_t seed = 0;
-    QueryMetrics metrics;
-    /// Sketch-side plan-cache tallies already exported to the stream's
-    /// hash_cache_* counters; the batch path and the (const, writer-thread)
-    /// pull-style RefreshMetricsGauges publish deltas against these.
-    mutable uint64_t cache_hits_seen = 0;
-    mutable uint64_t cache_misses_seen = 0;
-    /// Epoch-gated slim view over the sketch's level-0, built lazily while
-    /// ReadPathOptions.use_slim_views is on. Mutable: reads are const but
-    /// refresh the view when the fat epoch advanced.
-    mutable std::optional<sketch::SlimView> slim;
-    /// Relaxed-consistency ingestor over `sketch` while
-    /// IngestOptions.concurrent is on (null otherwise). Built lazily on the
-    /// first concurrent batch — by then the state is map-resident, so the
-    /// &sketch it captures is stable. Declared after `sketch` so its
-    /// destructor (which flushes pending work into the sketch and joins
-    /// the workers) runs while the sketch is still alive.
-    std::unique_ptr<ingest::ConcurrentIngestor<core::SkimmedSketch>>
-        concurrent;
-  };
-
-  struct DistinctQueryState {
-    sketch::FmSketch sketch;
-    StreamId stream;
-    std::optional<RangePredicate> predicate;
-    DistinctCountQuerySpec spec;
-    uint64_t seed = 0;
-    QueryMetrics metrics;
-  };
-
-  struct TopKQueryState {
-    core::TopKTracker tracker;
-    StreamId stream;
-    std::optional<RangePredicate> predicate;
-    TopKQuerySpec spec;
-    uint64_t seed = 0;
-    QueryMetrics metrics;
-  };
-
-  struct QuantileQueryState {
-    stream::GkQuantileSummary summary;
-    StreamId stream;
-    std::optional<RangePredicate> predicate;
-    QuantileQuerySpec spec;
-    QueryMetrics metrics;
-  };
-
-  struct RangeSumQueryState {
-    stream::WaveletSynopsis synopsis;
-    StreamId stream;
-    uint64_t coefficient_budget;
-    std::optional<RangePredicate> predicate;
-    RangeSumQuerySpec spec;
-    QueryMetrics metrics;
   };
 
   struct RelationState {
@@ -603,39 +491,25 @@ class Engine {
     int64_t tuple_count = 0;
   };
 
-  /// A chain-join query: one of the two estimator structures plus the
-  /// relation ids in chain order (a relation may appear once per query).
-  struct ChainJoinQueryState {
-    std::optional<MultiJoinEstimator> grid;
-    std::optional<MultiJoinHashEstimator> hashed;
-    std::vector<StreamId> chain;  // relation ids, chain order
-    ChainJoinQuerySpec spec;
-    uint64_t seed = 0;
-    QueryMetrics metrics;
-  };
-
   StatusOr<StreamId> FindStream(const std::string& name) const;
 
-  static int64_t WeightFor(AggregateInput input, const StreamUpdate& update) {
-    return input == AggregateInput::kCount ? update.count : update.measure;
-  }
+  /// The one validate-and-fan-out loop behind Update and UpdateBatch:
+  /// drops and counts out-of-domain elements, feeds the profiler, then
+  /// hands every subscription of every query its projection of the batch.
+  Status Ingest(StreamId stream, std::span<const StreamUpdate> updates);
 
-  /// Fans one validated in-domain element out to the subscribed synopses.
-  /// Frequency queries are skipped when `include_frequency_queries` is
-  /// false (UpdateBatch feeds them through the batch path instead).
-  void ApplyToQueries(StreamId stream, const StreamUpdate& update,
-                      bool include_frequency_queries);
+  /// Registers a new query under the next id.
+  QueryId AddQuery(QuerySpec spec, uint64_t seed,
+                   std::vector<Subscription> subscriptions,
+                   std::unique_ptr<Synopsis> synopsis);
+
+  /// The query `id` and its synopsis as a `Node` (a query whose spec is a
+  /// `Node::Spec` holds a `Node`); the node is null when the id is unknown
+  /// or names a query of another kind.
+  template <typename Node>
+  std::pair<const QueryState*, const Node*> FindQuery(QueryId id) const;
 
   StatusOr<StreamId> FindRelation(const std::string& name) const;
-
-  /// Publishes `q`'s plan-cache activity to its stream's hash_cache_*
-  /// counters as deltas against the last export (so SetKernelOptions
-  /// rebuilds, which restart the sketch-side tallies, publish cleanly).
-  /// Called from the inline batch path and, pull-style, from
-  /// RefreshMetricsGauges so scalar-only sessions stay current too.
-  /// Writer-thread only; the sharded path's replicas keep their caches
-  /// worker-local, so the counters reflect the inline path only.
-  void PublishHashCacheDeltas(const FrequencyQueryState& q) const;
 
   /// Creates the `ingest.<name>.*` counters for a freshly registered
   /// stream and caches their pointers in `*state`.
@@ -655,7 +529,7 @@ class Engine {
 
   /// Records join-estimate drift when both sides have references attached
   /// and the query compares exactly (COUNT inputs, no predicates).
-  void MaybeRecordJoinDrift(QueryId query, const JoinQueryState& q,
+  void MaybeRecordJoinDrift(QueryId query, const QueryState& q,
                             double estimate) const;
 
   /// Records a *WithReport answer's derived instruments (CI relative
@@ -664,24 +538,13 @@ class Engine {
   void RecordReportMetrics(QueryId query, const QueryMetrics& metrics,
                            const EstimateReport& report) const;
 
-  /// The participating streams' absorbed-element epochs, in a fixed
-  /// per-query order — the QueryCache guard vector.
-  QueryCache::Epochs EpochsFor(const JoinQueryState& q) const;
-  QueryCache::Epochs EpochsFor(const FrequencyQueryState& q) const;
+  /// The subscribed streams' absorbed-element epochs, in subscription
+  /// order — the QueryCache guard vector.
+  QueryCache::Epochs EpochsFor(const QueryState& q) const;
 
   /// Bumps the matching `query.<id>.cache_*` counter for one lookup.
   static void CountCacheOutcome(const QueryMetrics& metrics,
                                 QueryCache::Outcome outcome);
-
-  /// Reader lock over a frequency query's sketch when a concurrent
-  /// ingestor is live; a no-op (lockless) guard otherwise. Answer paths
-  /// hold one across every sketch read so they observe whole-epoch
-  /// snapshots, never a mid-propagation state.
-  using FrequencyReadLock =
-      ingest::ConcurrentIngestor<core::SkimmedSketch>::ReadLock;
-  FrequencyReadLock ReadLockFor(const FrequencyQueryState& q) const {
-    return q.concurrent ? q.concurrent->ReaderLock() : FrequencyReadLock();
-  }
 
   // Declared first so every cached instrument pointer in the states below
   // is destroyed before the registry that owns the pointees. Mutable:
@@ -692,20 +555,19 @@ class Engine {
   std::unordered_map<std::string, StreamId> stream_ids_;
   std::vector<RelationState> relations_;
   std::unordered_map<std::string, StreamId> relation_ids_;
-  std::unordered_map<QueryId, JoinQueryState> join_queries_;
-  std::unordered_map<QueryId, FrequencyQueryState> frequency_queries_;
-  std::unordered_map<QueryId, DistinctQueryState> distinct_queries_;
-  std::unordered_map<QueryId, TopKQueryState> topk_queries_;
-  std::unordered_map<QueryId, QuantileQueryState> quantile_queries_;
-  std::unordered_map<QueryId, RangeSumQueryState> range_sum_queries_;
-  std::unordered_map<QueryId, ChainJoinQueryState> chain_queries_;
-  QueryId next_query_id_ = 1;
-  // Ingestion concurrency configuration (shards + concurrent mode knobs).
+  // Ingestion concurrency configuration (shards + concurrent mode knobs);
+  // frequency nodes hold a pointer to it.
   IngestOptions ingest_options_;
+  // Every standing query, ascending by id (the checkpoint and health-report
+  // order).
+  std::map<QueryId, QueryState> queries_;
+  QueryId next_query_id_ = 1;
+  // Reused projection buffer for the ingest fan-out.
+  std::vector<stream::StreamElement> projected_;
   // Fast-path kernel selection applied to every frequency-query synopsis
   // (defaults all-on; see sketch/kernel_options.h).
   sketch::KernelOptions kernel_options_;
-  // Two-stage read path selection (defaults all-off). Like kernel_options_,
+  // Read path selection (cache off by default). Like kernel_options_,
   // survives Clear(): it is a session-level setting, not engine state.
   ReadPathOptions read_path_;
   // Answer cache for the read path. Mutable: Answer* methods are const but

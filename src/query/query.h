@@ -7,8 +7,10 @@
 #define SKIMJOIN_QUERY_QUERY_H_
 
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/join_estimators.h"
@@ -147,6 +149,24 @@ struct ChainJoinQuerySpec {
   uint64_t num_tables = 5;
   uint64_t num_buckets = 64;
 };
+
+/// Any standing query's registration spec. Self-joins are recorded as the
+/// JoinQuerySpec they expand to.
+using QuerySpec =
+    std::variant<JoinQuerySpec, FrequencyQuerySpec, DistinctCountQuerySpec,
+                 TopKQuerySpec, QuantileQuerySpec, RangeSumQuerySpec,
+                 ChainJoinQuerySpec>;
+
+/// The query kind's stable token ("join", "frequency", "distinct", "topk",
+/// "quantile", "rangesum", "chain"), as checkpoint manifests and health
+/// reports spell it.
+inline const char* QueryKindName(const QuerySpec& spec) {
+  static constexpr const char* kNames[] = {
+      "join", "frequency", "distinct", "topk", "quantile", "rangesum",
+      "chain"};
+  static_assert(std::size(kNames) == std::variant_size_v<QuerySpec>);
+  return kNames[spec.index()];
+}
 
 }  // namespace query
 }  // namespace skimjoin

@@ -86,9 +86,8 @@ const std::vector<std::pair<std::string, std::string>>& CommandRegistry() {
            "alerts <rel_error> <ci_width> — warn-event thresholds for "
            "accuracy drift / CI blow-up (inf disables)"},
           {"cache",
-           "cache <on|off> | cache slim <on|off> | cache status <q> — "
-           "two-stage read path: epoch-invalidated query cache and slim "
-           "views"},
+           "cache <on|off> | cache status <q> — read path: the "
+           "epoch-invalidated query cache"},
           {"help", "help — print this list"},
           {"quit", "quit — stop reading commands"},
       };
@@ -773,25 +772,12 @@ bool Shell::ExecuteLine(const std::string& line, std::ostream& out) {
   if (command == "cache") {
     std::string sub;
     if (!(fields >> sub)) {
-      Error(out, "usage: cache <on|off> | cache slim <on|off> | "
-                 "cache status <q>");
+      Error(out, "usage: cache <on|off> | cache status <q>");
       return true;
     }
     if (sub == "on" || sub == "off") {
       Engine::ReadPathOptions options = engine_.read_path_options();
       options.use_query_cache = (sub == "on");
-      engine_.SetReadPathOptions(options);
-      Ok(out);
-      return true;
-    }
-    if (sub == "slim") {
-      std::string mode;
-      if (!(fields >> mode) || (mode != "on" && mode != "off")) {
-        Error(out, "usage: cache slim <on|off>");
-        return true;
-      }
-      Engine::ReadPathOptions options = engine_.read_path_options();
-      options.use_slim_views = (mode == "on");
       engine_.SetReadPathOptions(options);
       Ok(out);
       return true;
@@ -819,14 +805,11 @@ bool Shell::ExecuteLine(const std::string& line, std::ostream& out) {
         return true;
       }
       out << "ok cache=" << (stats->enabled ? "on" : "off")
-          << " slim=" << (engine_.read_path_options().use_slim_views ? "on"
-                                                                     : "off")
           << " hits=" << stats->hits << " misses=" << stats->misses
           << " invalidations=" << stats->invalidations << "\n";
       return true;
     }
-    Error(out, "usage: cache <on|off> | cache slim <on|off> | "
-               "cache status <q>");
+    Error(out, "usage: cache <on|off> | cache status <q>");
     return true;
   }
   if (command == "point") {

@@ -67,7 +67,6 @@
 //                                             (`inf` disables one)
 //   cache <on|off>                            toggle the epoch-invalidated
 //                                             query cache (read path)
-//   cache slim <on|off>                       toggle slim-view point reads
 //   cache status <q>                          cache hit/miss/invalidation
 //                                             counters for one query
 //   help                                      print this list

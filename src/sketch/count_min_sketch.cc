@@ -87,7 +87,6 @@ StatusOr<CountMinSketch> CountMinSketch::Create(const CountMinConfig& config,
 }
 
 void CountMinSketch::Update(uint64_t value, int64_t weight) {
-  ++update_epoch_;
   if (plan_cache_) {
     ApplyPlan(ComputePlan(value), weight);
     return;
@@ -100,7 +99,6 @@ void CountMinSketch::Update(uint64_t value, int64_t weight) {
 
 void CountMinSketch::UpdateBatch(
     std::span<const stream::StreamElement> elements) {
-  ++update_epoch_;
   // The blocked kernel stores 32-bit plan words; beyond 2^32 buckets it
   // cannot, so such shapes take the legacy kernels below.
   if (kernel_options_.use_blocked_batch &&
@@ -223,12 +221,10 @@ void CountMinSketch::UpdateBatchBlocked(
 }
 
 void CountMinSketch::Reset() {
-  ++update_epoch_;
   counters_.assign(counters_.size(), 0);
 }
 
 void CountMinSketch::Absorb(const stream::FrequencyVector& frequencies) {
-  ++update_epoch_;
   const auto& counts = frequencies.counts();
   for (uint64_t value = 0; value < counts.size(); ++value) {
     if (counts[value] != 0) Update(value, counts[value]);
@@ -253,7 +249,6 @@ bool CountMinSketch::CompatibleWith(const CountMinSketch& other) const {
 
 void CountMinSketch::Merge(const CountMinSketch& other) {
   SKIMJOIN_CHECK(CompatibleWith(other)) << "merging incompatible count-min sketches";
-  ++update_epoch_;
   for (size_t i = 0; i < counters_.size(); ++i) {
     counters_[i] += other.counters_[i];
   }

@@ -126,18 +126,8 @@ class CountMinSketch {
   /// family heap storage. Feeds the per-synopsis memory gauges.
   uint64_t MemoryBytes() const;
 
-  /// Raw counter array, row-major by table. Read-only substrate for
-  /// sketch::SlimView refreshes.
+  /// Raw counter array, row-major by table.
   std::span<const int64_t> CounterArray() const { return counters_; }
-
-  /// h_j(value), in [0, num_buckets); used by SlimView point estimates.
-  uint64_t Bucket(uint64_t table, uint64_t value) const {
-    return bucket_hashes_[table](value);
-  }
-
-  /// Monotone mutation epoch; see HashSketch::update_epoch (derived state,
-  /// never serialized, bumped on every mutator including Reset).
-  uint64_t update_epoch() const { return update_epoch_; }
 
  private:
   CountMinSketch(const CountMinConfig& config, uint64_t seed);
@@ -177,7 +167,6 @@ class CountMinSketch {
   std::vector<hashing::BucketHash> bucket_hashes_;
   std::vector<int64_t> counters_;
   KernelOptions kernel_options_;
-  uint64_t update_epoch_ = 0;
   // Derived acceleration state; see HashSketch for the contract (never
   // serialized, survives Reset, disengaged when use_plan_cache is off).
   std::optional<hashing::HashPlanCache> plan_cache_;

@@ -102,7 +102,6 @@ StatusOr<HashSketch> HashSketch::Create(const HashSketchConfig& config,
 }
 
 void HashSketch::Update(uint64_t value, int64_t weight) {
-  ++update_epoch_;
   if (plan_cache_) {
     ApplyPlan(ComputePlan(value), weight);
     return;
@@ -115,7 +114,6 @@ void HashSketch::Update(uint64_t value, int64_t weight) {
 }
 
 void HashSketch::UpdateBatch(std::span<const stream::StreamElement> elements) {
-  ++update_epoch_;
   // The blocked kernel stores packed 32-bit plan words; beyond 2^31 buckets
   // it cannot, so such shapes take the legacy kernels below.
   if (kernel_options_.use_blocked_batch &&
@@ -260,12 +258,10 @@ void HashSketch::UpdateBatchBlocked(
 }
 
 void HashSketch::Reset() {
-  ++update_epoch_;
   counters_.assign(counters_.size(), 0);
 }
 
 void HashSketch::Absorb(const stream::FrequencyVector& frequencies) {
-  ++update_epoch_;
   const auto& counts = frequencies.counts();
   for (uint64_t value = 0; value < counts.size(); ++value) {
     if (counts[value] != 0) Update(value, counts[value]);
@@ -274,7 +270,6 @@ void HashSketch::Absorb(const stream::FrequencyVector& frequencies) {
 
 void HashSketch::Merge(const HashSketch& other) {
   SKIMJOIN_CHECK(CompatibleWith(other)) << "merging incompatible hash sketches";
-  ++update_epoch_;
   for (size_t i = 0; i < counters_.size(); ++i) {
     counters_[i] += other.counters_[i];
   }

@@ -180,15 +180,7 @@ class HashSketch {
   }
 
   /// Raw counter array, row-major by table (num_tables * num_buckets).
-  /// Read-only substrate for sketch::SlimView refreshes.
   std::span<const int64_t> CounterArray() const { return counters_; }
-
-  /// Monotone mutation epoch: bumped on every Update/UpdateBatch/Absorb/
-  /// Merge/Reset. Derived state (like the plan cache): never serialized,
-  /// ignored by CompatibleWith. Lets read-side caches (sketch::SlimView,
-  /// query::QueryCache) detect "has this sketch changed since I looked?"
-  /// in O(1) without hashing counters.
-  uint64_t update_epoch() const { return update_epoch_; }
 
  private:
   HashSketch(const HashSketchConfig& config, uint64_t seed);
@@ -222,7 +214,6 @@ class HashSketch {
   std::vector<hashing::SignHash> sign_hashes_;      // one per table
   std::vector<int64_t> counters_;                   // row-major by table
   KernelOptions kernel_options_;
-  uint64_t update_epoch_ = 0;
   // Derived acceleration state: never serialized, ignored by
   // CompatibleWith/Merge, and kept across Reset (plans depend only on the
   // hash families). Disengaged when use_plan_cache is off.

@@ -101,7 +101,7 @@ struct SynopsisHealth {
   double counter_p99 = 0.0;
   double counter_max = 0.0;
   /// Counter-saturation headroom: p99 |counter| as a fraction of int32's
-  /// range (the slim-view narrowing threshold) and max |counter| as a
+  /// range (where counters stop fitting 32 bits) and max |counter| as a
   /// fraction of int64's (true overflow).
   double int32_saturation = 0.0;
   double int64_saturation = 0.0;

@@ -96,7 +96,7 @@ TEST(HealthReportTest, UndersizedSketchFlagsCollisionPressure) {
 }
 
 // Counter saturation: weights big enough that the p99 counter magnitude
-// crosses half of int32 must raise the slim-view fallback warning.
+// crosses half of int32 must raise the int32 counter-saturation warning.
 TEST(HealthReportTest, HeavyWeightsFlagInt32Saturation) {
   constexpr uint64_t kDomain = 1u << 10;
   Engine engine;

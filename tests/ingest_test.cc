@@ -6,9 +6,13 @@
 // feeding while tracking ingest counters.
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <sstream>
+#include <span>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/skimmed_sketch.h"
@@ -247,54 +251,178 @@ TEST(ParallelIngestorTest, FlushSaturatesAbsorbedWhenReplicaDropsExceedIt) {
   EXPECT_EQ(master.total(), 0);
 }
 
-TEST(EngineBatchTest, UpdateBatchMatchesScalarUpdates) {
-  const uint64_t kDomain = 1u << 10;
-  auto elements = MixedStream(20000, kDomain, 31);
-  std::vector<query::StreamUpdate> updates;
-  updates.reserve(elements.size());
-  for (const StreamElement& element : elements) {
-    updates.push_back({element.value, element.weight, element.weight * 2});
+// Every answer a query of any kind gives, rendered at full precision, so
+// that string equality is bit-for-bit answer equality.
+std::string AllAnswers(const query::Engine& engine, query::QueryId id) {
+  std::ostringstream out;
+  out.precision(17);
+  if (const auto join = engine.AnswerJoin(id); join.ok()) {
+    out << "join " << *join;
   }
-
-  auto build = [&](bool batched, uint64_t shards) {
-    auto engine = std::make_unique<query::Engine>();
-    SKIMJOIN_CHECK_OK(engine->SetIngestShards(shards));
-    SKIMJOIN_CHECK(engine->RegisterStream({"s", kDomain}).ok());
-    query::SelfJoinQuerySpec self_join;
-    self_join.stream = "s";
-    self_join.estimator.kind = core::EstimatorKind::kSkimmedSketch;
-    auto jq = engine->AddSelfJoinQuery(self_join, 5);
-    SKIMJOIN_CHECK(jq.ok());
-    query::FrequencyQuerySpec freq;
-    freq.stream = "s";
-    auto fq = engine->AddFrequencyQuery(freq, 5);
-    SKIMJOIN_CHECK(fq.ok());
-    if (batched) {
-      SKIMJOIN_CHECK_OK(engine->UpdateBatch("s", updates));
-    } else {
-      for (const query::StreamUpdate& update : updates) {
-        SKIMJOIN_CHECK_OK(engine->Update("s", update));
-      }
+  for (const uint64_t value : {0, 1, 7, 100}) {
+    if (const auto point = engine.AnswerPointFrequency(id, value);
+        point.ok()) {
+      out << " point " << *point;
     }
-    struct Answers {
-      double join;
-      int64_t freq0;
-      int64_t count;
+  }
+  if (const auto heavy = engine.AnswerHeavyHitters(id, 50); heavy.ok()) {
+    for (const auto& [value, frequency] : *heavy) {
+      out << " heavy " << value << ':' << frequency;
+    }
+  }
+  if (const auto distinct = engine.AnswerDistinctCount(id); distinct.ok()) {
+    out << " distinct " << *distinct;
+  }
+  if (const auto topk = engine.AnswerTopK(id); topk.ok()) {
+    for (const auto& [value, frequency] : *topk) {
+      out << " top " << value << ':' << frequency;
+    }
+  }
+  if (const auto median = engine.AnswerQuantile(id, 0.5); median.ok()) {
+    out << " median " << *median;
+  }
+  if (const auto range = engine.AnswerRangeSum(id, 10, 500); range.ok()) {
+    out << " range " << *range;
+  }
+  return out.str();
+}
+
+// The one fan-out behind Update and UpdateBatch: a query of every kind, fed
+// whole batches, must end bit-for-bit where per-element Update leaves it —
+// same synopsis record, same answers.
+TEST(EngineBatchTest, UpdateBatchMatchesScalarUpdates) {
+  constexpr uint64_t kDomain = 1u << 10;
+  using query::Engine;
+  using query::QueryId;
+  using AddQuery = std::function<StatusOr<QueryId>(Engine*)>;
+  auto join = [](core::EstimatorKind kind,
+                 std::function<void(query::JoinQuerySpec*)> tweak = {}) {
+    return [kind, tweak](Engine* engine) {
+      query::JoinQuerySpec spec;
+      spec.left_stream = "f";
+      spec.right_stream = "g";
+      spec.estimator.kind = kind;
+      spec.estimator.space_counters = 512;
+      if (tweak) tweak(&spec);
+      return engine->AddJoinQuery(spec, 5);
     };
-    return Answers{*engine->AnswerJoin(*jq),
-                   *engine->AnswerPointFrequency(*fq, 0),
-                   *engine->StreamElementCount("s")};
+  };
+  struct Case {
+    std::string name;
+    AddQuery add;
+    uint64_t shards = 1;
+    // Reservoir samples take unit inserts and deletes only.
+    bool unit_counts = false;
+  };
+  const std::vector<Case> cases = {
+      {"agms join", join(core::EstimatorKind::kAgms)},
+      {"hash-sketch join", join(core::EstimatorKind::kHashSketch)},
+      {"skimmed join", join(core::EstimatorKind::kSkimmedSketch)},
+      {"dyadic skimmed join",
+       join(core::EstimatorKind::kSkimmedSketch,
+            [](query::JoinQuerySpec* spec) {
+              spec->estimator.skimmed_use_dyadic = true;
+              spec->estimator.space_counters = 4096;
+            })},
+      {"count-min join", join(core::EstimatorKind::kCountMin)},
+      {"sampling join", join(core::EstimatorKind::kSampling), 1, true},
+      {"SUM join", join(core::EstimatorKind::kSkimmedSketch,
+                        [](query::JoinQuerySpec* spec) {
+                          spec->left_input = query::AggregateInput::kMeasure;
+                          spec->right_input = query::AggregateInput::kMeasure;
+                        })},
+      {"join with predicates",
+       join(core::EstimatorKind::kHashSketch,
+            [](query::JoinQuerySpec* spec) {
+              spec->left_predicate = query::RangePredicate{0, 300};
+              spec->right_predicate = query::RangePredicate{100, 900};
+            })},
+      {"self-join",
+       [](Engine* engine) {
+         query::SelfJoinQuerySpec spec;
+         spec.stream = "f";
+         spec.estimator.kind = core::EstimatorKind::kSkimmedSketch;
+         return engine->AddSelfJoinQuery(spec, 5);
+       }},
+      {"frequency", [](Engine* engine) {
+         query::FrequencyQuerySpec spec;
+         spec.stream = "f";
+         return engine->AddFrequencyQuery(spec, 5);
+       }},
+      {"frequency, 2 shards",
+       [](Engine* engine) {
+         query::FrequencyQuerySpec spec;
+         spec.stream = "f";
+         spec.predicate = query::RangePredicate{0, 700};
+         return engine->AddFrequencyQuery(spec, 5);
+       },
+       2},
+      {"distinct", [](Engine* engine) {
+         return engine->AddDistinctCountQuery(
+             {.stream = "f", .predicate = {}}, 5);
+       }},
+      {"top-k", [](Engine* engine) {
+         return engine->AddTopKQuery(
+             {.stream = "f", .k = 5, .predicate = {}}, 5);
+       }},
+      {"quantile", [](Engine* engine) {
+         return engine->AddQuantileQuery({.stream = "f", .predicate = {}});
+       }},
+      {"range-sum", [](Engine* engine) {
+         return engine->AddRangeSumQuery(
+             {.stream = "f", .coefficient_budget = 16, .predicate = {}});
+       }},
   };
 
-  const auto scalar = build(false, 1);
-  const auto inline_batch = build(true, 1);
-  const auto sharded_batch = build(true, 4);
-  EXPECT_EQ(scalar.count, inline_batch.count);
-  EXPECT_EQ(scalar.count, sharded_batch.count);
-  EXPECT_DOUBLE_EQ(scalar.join, inline_batch.join);
-  EXPECT_DOUBLE_EQ(scalar.join, sharded_batch.join);
-  EXPECT_EQ(scalar.freq0, inline_batch.freq0);
-  EXPECT_EQ(scalar.freq0, sharded_batch.freq0);
+  for (const Case& test_case : cases) {
+    SCOPED_TRACE(test_case.name);
+    std::vector<query::StreamUpdate> f_updates, g_updates;
+    for (const auto& [seed, updates] :
+         {std::pair{31, &f_updates}, std::pair{32, &g_updates}}) {
+      for (StreamElement& element : MixedStream(20000, kDomain, seed)) {
+        if (test_case.unit_counts) {
+          element.weight = element.weight < 0 ? -1 : 1;
+        }
+        updates->push_back(
+            {element.value, element.weight, element.weight * 2});
+      }
+    }
+
+    auto build = [&](bool batched) {
+      auto engine = std::make_unique<Engine>();
+      Engine::IngestOptions options;
+      options.shards = test_case.shards;
+      SKIMJOIN_CHECK_OK(engine->SetIngestOptions(options));
+      SKIMJOIN_CHECK(engine->RegisterStream({"f", kDomain}).ok());
+      SKIMJOIN_CHECK(engine->RegisterStream({"g", kDomain}).ok());
+      const StatusOr<QueryId> id = test_case.add(engine.get());
+      SKIMJOIN_CHECK(id.ok()) << id.status();
+      if (batched) {
+        // Two batches per stream, each large enough to split across shards.
+        const std::span<const query::StreamUpdate> f(f_updates);
+        const std::span<const query::StreamUpdate> g(g_updates);
+        const size_t half = f.size() / 2;
+        for (const size_t start : {size_t{0}, half}) {
+          SKIMJOIN_CHECK_OK(engine->UpdateBatch("f", f.subspan(start, half)));
+          SKIMJOIN_CHECK_OK(engine->UpdateBatch("g", g.subspan(start, half)));
+        }
+      } else {
+        for (size_t i = 0; i < f_updates.size(); ++i) {
+          SKIMJOIN_CHECK_OK(engine->Update("f", f_updates[i]));
+          SKIMJOIN_CHECK_OK(engine->Update("g", g_updates[i]));
+        }
+      }
+      std::string record;
+      const Status serialized = engine->SerializeQuerySynopsis(*id, &record);
+      return std::tuple{serialized.code(), record, AllAnswers(*engine, *id),
+                        *engine->StreamElementCount("f")};
+    };
+
+    const auto scalar = build(false);
+    const auto batched = build(true);
+    EXPECT_EQ(scalar, batched);
+    EXPECT_FALSE(std::get<2>(scalar).empty());
+  }
 }
 
 TEST(EngineBatchTest, DropsOutOfDomainAndCountsThem) {
@@ -328,7 +456,10 @@ TEST(EngineBatchTest, UnknownStreamAndBadShardCountRejected) {
   std::vector<query::StreamUpdate> updates = {{1, 1, 0}};
   EXPECT_EQ(engine.UpdateBatch("nope", updates).code(),
             StatusCode::kNotFound);
-  EXPECT_EQ(engine.SetIngestShards(0).code(), StatusCode::kInvalidArgument);
+  query::Engine::IngestOptions no_shards;
+  no_shards.shards = 0;
+  EXPECT_EQ(engine.SetIngestOptions(no_shards).code(),
+            StatusCode::kInvalidArgument);
   EXPECT_FALSE(engine.StreamIngestStats("nope").ok());
 }
 

@@ -3,10 +3,12 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "sketch/partitioned_agms.h"
 #include "stream/exact.h"
+#include "stream/stream_element.h"
 #include "stream/zipf.h"
 
 namespace skimjoin {
@@ -150,8 +152,8 @@ TEST(CreateJoinEstimatorPairTest, PartitionedAgmsRequiresPlan) {
       CreateJoinEstimatorPair(spec, 1);
   ASSERT_TRUE(pair.ok()) << pair.status();
   EXPECT_STREQ((*pair)->Name(), "partitioned-agms");
-  (*pair)->UpdateF(3, 10);
-  (*pair)->UpdateG(3, 7);
+  (*pair)->UpdateBatchF(std::vector<stream::StreamElement>{{3, 10}});
+  (*pair)->UpdateBatchG(std::vector<stream::StreamElement>{{3, 7}});
   StatusOr<double> estimate = (*pair)->Estimate();
   ASSERT_TRUE(estimate.ok());
   EXPECT_DOUBLE_EQ(*estimate, 70.0);
@@ -162,12 +164,12 @@ TEST(JoinEstimatorPairTest, UpdatesRouteToCorrectSide) {
       CreateJoinEstimatorPair(BaseSpec(EstimatorKind::kHashSketch), 17);
   ASSERT_TRUE(pair.ok());
   // Only F gets data; the join with an empty G must be 0.
-  (*pair)->UpdateF(3, 100);
+  (*pair)->UpdateBatchF(std::vector<stream::StreamElement>{{3, 100}});
   StatusOr<double> estimate = (*pair)->Estimate();
   ASSERT_TRUE(estimate.ok());
   EXPECT_DOUBLE_EQ(*estimate, 0.0);
   // Now G overlaps.
-  (*pair)->UpdateG(3, 2);
+  (*pair)->UpdateBatchG(std::vector<stream::StreamElement>{{3, 2}});
   estimate = (*pair)->Estimate();
   ASSERT_TRUE(estimate.ok());
   EXPECT_DOUBLE_EQ(*estimate, 200.0);

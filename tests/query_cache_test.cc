@@ -1,8 +1,9 @@
-// Correctness tests for the engine's epoch-invalidated QueryCache and the
-// slim-view point read path (DESIGN.md §11): cached answers must be
-// bit-identical to fresh recomputation, a single-element update to any
-// participating stream must invalidate, and a checkpoint/restore round trip
-// must drop the cache and re-seed epochs without changing any answer.
+// Correctness tests for the engine's epoch-invalidated QueryCache (DESIGN.md
+// §11): cached answers must be bit-identical to fresh recomputation, a
+// single-element update to any participating stream must invalidate, a
+// concurrent-ingest flush must drop answers cached from a lagging snapshot,
+// and a checkpoint/restore round trip must drop the cache and re-seed
+// epochs without changing any answer.
 
 #include <string>
 #include <vector>
@@ -170,40 +171,9 @@ TEST(QueryCacheTest, PointAnswersCachedPerValueAndInvalidated) {
   EXPECT_EQ(stats->invalidations, 1u);
 }
 
-// The slim-view read path must be indistinguishable from the fat path,
-// interleaved with ingest (each refresh re-derives the packed counters).
-TEST(QueryCacheTest, SlimViewPointPathBitIdenticalToFat) {
-  Engine slim, fat;
-  for (Engine* engine : {&slim, &fat}) {
-    ASSERT_TRUE(engine->RegisterStream(Packets()).ok());
-    ASSERT_TRUE(engine->RegisterStream(Flows()).ok());
-    ASSERT_TRUE(engine->AddFrequencyQuery(BasicFreqSpec(), 31).ok());
-  }
-  Engine::ReadPathOptions options;
-  options.use_slim_views = true;
-  slim.SetReadPathOptions(options);
-
-  Rng rng(4242);
-  for (int round = 0; round < 5; ++round) {
-    for (int i = 0; i < 200; ++i) {
-      const uint64_t value = rng.NextUint64Below(1u << 10);
-      ASSERT_TRUE(slim.Update("packets", {value, 1, 0}).ok());
-      ASSERT_TRUE(fat.Update("packets", {value, 1, 0}).ok());
-    }
-    for (int probe = 0; probe < 32; ++probe) {
-      const uint64_t value = rng.NextUint64Below(1u << 10);
-      StatusOr<int64_t> slim_answer = slim.AnswerPointFrequency(1, value);
-      StatusOr<int64_t> fat_answer = fat.AnswerPointFrequency(1, value);
-      ASSERT_TRUE(slim_answer.ok() && fat_answer.ok());
-      ASSERT_EQ(*slim_answer, *fat_answer)
-          << "round " << round << " value " << value;
-    }
-  }
-}
-
-// Cache + slim together, including kernel switches on the write side: the
-// read path must stay bit-identical through every combination.
-TEST(QueryCacheTest, CacheAndSlimComposeAcrossKernelSwitches) {
+// The cache across kernel switches on the write side: the read path must
+// stay bit-identical through every combination.
+TEST(QueryCacheTest, CacheComposesAcrossKernelSwitches) {
   Engine tested, reference;
   for (Engine* engine : {&tested, &reference}) {
     ASSERT_TRUE(engine->RegisterStream(Packets()).ok());
@@ -211,10 +181,7 @@ TEST(QueryCacheTest, CacheAndSlimComposeAcrossKernelSwitches) {
     ASSERT_TRUE(engine->AddFrequencyQuery(BasicFreqSpec(), 5).ok());
     ASSERT_TRUE(engine->AddJoinQuery(BasicJoinSpec(), 6).ok());
   }
-  Engine::ReadPathOptions options;
-  options.use_query_cache = true;
-  options.use_slim_views = true;
-  tested.SetReadPathOptions(options);
+  tested.SetReadPathOptions(CacheOn());
 
   Rng rng(1717);
   for (int round = 0; round < 4; ++round) {
@@ -244,6 +211,39 @@ TEST(QueryCacheTest, CacheAndSlimComposeAcrossKernelSwitches) {
       ASSERT_EQ(*tested_point, *reference_point) << "round " << round;
     }
   }
+}
+
+// The cache epoch counts elements when UpdateBatch hands them to the
+// concurrent workers, not when they reach the sketch, so an answer cached
+// before FlushIngest may come from a lagging snapshot. The flush must drop
+// it: the next answer equals an inline engine fed the same elements.
+TEST(QueryCacheTest, FlushIngestDropsAnswersCachedFromALaggingSnapshot) {
+  std::vector<StreamUpdate> updates;
+  Rng rng(2024);
+  for (int i = 0; i < 20000; ++i) {
+    updates.push_back({rng.NextUint64Below(64), 1, 0});
+  }
+  Engine inline_engine, concurrent;
+  for (Engine* engine : {&inline_engine, &concurrent}) {
+    ASSERT_TRUE(engine->RegisterStream(Packets()).ok());
+    ASSERT_TRUE(engine->AddFrequencyQuery(BasicFreqSpec(), 13).ok());
+    engine->SetReadPathOptions(CacheOn());
+  }
+  Engine::IngestOptions options;
+  options.shards = 2;
+  options.concurrent = true;
+  options.propagation_interval_elements = 1u << 20;  // Nothing volunteers.
+  ASSERT_TRUE(concurrent.SetIngestOptions(options).ok());
+  ASSERT_TRUE(inline_engine.UpdateBatch("packets", updates).ok());
+  ASSERT_TRUE(concurrent.UpdateBatch("packets", updates).ok());
+
+  // Bounded-staleness read before the flush; its answer is cached.
+  ASSERT_TRUE(concurrent.AnswerPointFrequency(1, 1).ok());
+  concurrent.FlushIngest();
+  StatusOr<int64_t> flushed = concurrent.AnswerPointFrequency(1, 1);
+  StatusOr<int64_t> reference = inline_engine.AnswerPointFrequency(1, 1);
+  ASSERT_TRUE(flushed.ok() && reference.ok());
+  EXPECT_EQ(*flushed, *reference);
 }
 
 TEST(QueryCacheTest, SurvivesCheckpointRestoreWithCacheDropped) {
