@@ -1,6 +1,7 @@
 #include "core/join_estimators.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <utility>
 
@@ -290,6 +291,13 @@ StatusOr<std::unique_ptr<JoinEstimatorPair>> CreateJoinEstimatorPair(
     const EstimatorSpec& spec, uint64_t seed) {
   if (spec.space_counters < 1) {
     return InvalidArgumentError("EstimatorSpec.space_counters must be >= 1");
+  }
+  // Checkpoints and fleet registrations carry the skimmed knobs as decimal
+  // text, which has no spelling for inf or NaN: every method's must be
+  // finite, even where it goes unused.
+  if (!std::isfinite(spec.threshold_scale) ||
+      !std::isfinite(spec.recurse_slack) || !std::isfinite(spec.skim_margin)) {
+    return InvalidArgumentError("EstimatorSpec skim knobs must be finite");
   }
   switch (spec.kind) {
     case EstimatorKind::kAgms: {

@@ -18,6 +18,10 @@ namespace {
 
 bool IsPowerOfTwo(uint64_t x) { return x != 0 && (x & (x - 1)) == 0; }
 
+// The largest skim threshold: at 2^62 no estimate is dense, and callers
+// can still scale a threshold by a slack <= 1 without leaving int64.
+constexpr int64_t kMaxThreshold = int64_t{1} << 62;
+
 // Shared by Create and DeserializeFrom: a deserialized header is untrusted
 // input and must pass the same validation as a caller-supplied config.
 Status ValidateConfig(const SkimmedSketchConfig& config) {
@@ -32,13 +36,14 @@ Status ValidateConfig(const SkimmedSketchConfig& config) {
     return InvalidArgumentError(
         "SkimmedSketchConfig requires num_tables >= 1 and num_buckets >= 1");
   }
-  if (config.threshold_scale <= 0.0) {
+  if (!(config.threshold_scale > 0.0 &&
+        std::isfinite(config.threshold_scale))) {
     return InvalidArgumentError(
-        "SkimmedSketchConfig.threshold_scale must be positive");
+        "SkimmedSketchConfig.threshold_scale must be positive and finite");
   }
-  if (config.min_threshold < 1) {
+  if (config.min_threshold < 1 || config.min_threshold > kMaxThreshold) {
     return InvalidArgumentError(
-        "SkimmedSketchConfig.min_threshold must be >= 1");
+        "SkimmedSketchConfig.min_threshold must be in [1, 2^62]");
   }
   if (!(config.recurse_slack > 0.0 && config.recurse_slack <= 1.0)) {
     return InvalidArgumentError(
@@ -181,7 +186,11 @@ int64_t SkimmedSketch::SkimThreshold() const {
   const double scale =
       config_.threshold_scale *
       std::sqrt(f2 / static_cast<double>(config_.num_buckets));
-  const auto threshold = static_cast<int64_t>(std::ceil(scale));
+  // Saturate before the cast: a huge scale (or f2) would overflow int64.
+  const double rounded = std::ceil(scale);
+  const int64_t threshold = rounded < static_cast<double>(kMaxThreshold)
+                                ? static_cast<int64_t>(rounded)
+                                : kMaxThreshold;
   return std::max(threshold, config_.min_threshold);
 }
 

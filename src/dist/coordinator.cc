@@ -3,14 +3,14 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <optional>
+#include <iterator>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
-#include "core/skimmed_sketch.h"
-#include "query/multi_join.h"
-#include "query/multi_join_hash.h"
+#include "query/synopsis.h"
 #include "util/event_log.h"
 #include "util/logging.h"
 
@@ -18,26 +18,6 @@ namespace skimjoin {
 namespace dist {
 
 namespace {
-
-/// Builds a join-kind query's wire registration from its recorded spec.
-JoinQueryReg RegFromJoinSpec(const std::string& wire_name,
-                             const query::JoinQuerySpec& spec, uint64_t seed) {
-  JoinQueryReg reg;
-  reg.query_name = wire_name;
-  reg.left_stream = spec.left_stream;
-  reg.right_stream = spec.right_stream;
-  reg.self_join = false;
-  reg.kind = static_cast<uint32_t>(spec.estimator.kind);
-  reg.space_counters = spec.estimator.space_counters;
-  reg.num_tables = spec.estimator.num_tables;
-  reg.agms_num_medians = spec.estimator.agms_num_medians;
-  reg.threshold_scale = spec.estimator.threshold_scale;
-  reg.recurse_slack = spec.estimator.recurse_slack;
-  reg.skim_margin = spec.estimator.skim_margin;
-  reg.skimmed_use_dyadic = spec.estimator.skimmed_use_dyadic;
-  reg.seed = seed;
-  return reg;
-}
 
 /// Records wall time from construction until scope exit into a latency
 /// histogram (nanoseconds). Covers the WHOLE retrying RPC, backoffs
@@ -60,64 +40,40 @@ class LatencyScope {
   std::chrono::steady_clock::time_point start_;
 };
 
+/// A worker's application error ("remote: ..."): the RPC itself worked and
+/// the worker answered with a Status.
+bool IsRemoteError(const Status& status) {
+  return status.message().rfind("remote: ", 0) == 0;
+}
+
+/// Whether any shard's contribution lags: a stale pull or missed epochs.
+bool AnyPartial(const std::vector<ShardContribution>& shards) {
+  for (const ShardContribution& shard : shards) {
+    if (!shard.fresh || shard.epochs_behind > 0) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 const char* Coordinator::RpcTypeName(MessageType type) {
-  switch (type) {
-    case MessageType::kHello:
-      return "hello";
-    case MessageType::kHelloReply:
-      return "hello_reply";
-    case MessageType::kRegisterStream:
-      return "register_stream";
-    case MessageType::kRegisterJoinQuery:
-      return "register_join_query";
-    case MessageType::kRegisterFrequencyQuery:
-      return "register_frequency_query";
-    case MessageType::kRegistered:
-      return "registered";
-    case MessageType::kUpdateBatch:
-      return "update_batch";
-    case MessageType::kUpdateAck:
-      return "update_ack";
-    case MessageType::kPullDelta:
-      return "pull_delta";
-    case MessageType::kDelta:
-      return "delta";
-    case MessageType::kCheckpoint:
-      return "checkpoint";
-    case MessageType::kCheckpointAck:
-      return "checkpoint_ack";
-    case MessageType::kPing:
-      return "ping";
-    case MessageType::kError:
-      return "error";
-    case MessageType::kRegisterRelation:
-      return "register_relation";
-    case MessageType::kRegisterChainQuery:
-      return "register_chain_query";
-    case MessageType::kUpdateRelation:
-      return "update_relation";
-    case MessageType::kMetricsRequest:
-      return "metrics_request";
-    case MessageType::kMetricsSnapshot:
-      return "metrics_snapshot";
-    case MessageType::kEventsRequest:
-      return "events_request";
-    case MessageType::kEventBatch:
-      return "event_batch";
-    case MessageType::kTraceControl:
-      return "trace_control";
-    case MessageType::kTraceRequest:
-      return "trace_request";
-    case MessageType::kTraceEvents:
-      return "trace_events";
-    case MessageType::kHealthRequest:
-      return "health_request";
-    case MessageType::kHealthReport:
-      return "health_report";
-  }
-  return "unknown";
+  // Indexed by wire value; the retired numbers 4, 5 and 16 have no name.
+  static constexpr const char* kNames[] = {
+      nullptr,           "hello",          "hello_reply",
+      "register_stream", nullptr,          nullptr,
+      "registered",      "update_batch",   "update_ack",
+      "pull_delta",      "delta",          "checkpoint",
+      "checkpoint_ack",  "ping",           "error",
+      "register_relation", nullptr,        "update_relation",
+      "metrics_request", "metrics_snapshot", "events_request",
+      "event_batch",     "trace_control",  "trace_request",
+      "trace_events",    "health_request", "health_report",
+      "register_query"};
+  static_assert(std::size(kNames) ==
+                static_cast<size_t>(MessageType::kRegisterQuery) + 1);
+  const auto index = static_cast<size_t>(type);
+  const char* name = index < std::size(kNames) ? kNames[index] : nullptr;
+  return name != nullptr ? name : "unknown";
 }
 
 metrics::ShardedHistogram* Coordinator::RpcLatencyHistogram(MessageType type) {
@@ -282,7 +238,7 @@ StatusOr<Frame> Coordinator::Rpc(ShardState& shard, MessageType type,
     // A remote application error ("remote: ...") means the RPC itself
     // worked — the worker answered with a Status. Don't burn retries or
     // damn the shard's health for it.
-    if (last.message().rfind("remote: ", 0) == 0) {
+    if (IsRemoteError(last)) {
       MarkSuccess(shard);
       return last;
     }
@@ -310,7 +266,15 @@ Status Coordinator::Broadcast(MessageType type, const std::string& payload) {
   Status first_failure = OkStatus();
   for (const auto& shard : shards_) {
     StatusOr<Frame> reply = Rpc(*shard, type, payload);
-    if (!reply.ok() && first_failure.ok()) first_failure = reply.status();
+    if (reply.ok()) continue;
+    if (IsRemoteError(reply.status())) {
+      // A worker refused the registration itself. Replaying it would fail
+      // the same way at every later handshake and stop the replay of
+      // everything recorded after it, so it must not stay on record.
+      registrations_.pop_back();
+      return reply.status();
+    }
+    if (first_failure.ok()) first_failure = reply.status();
   }
   // A shard that missed the broadcast gets it replayed at its next
   // handshake (the record above is what makes that possible), but the
@@ -335,101 +299,76 @@ Status Coordinator::RegisterStream(const query::StreamSpec& spec) {
 
 StatusOr<query::QueryId> Coordinator::AddJoinQuery(
     const query::JoinQuerySpec& spec, uint64_t seed) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (spec.left_predicate.has_value() || spec.right_predicate.has_value()) {
-    return InvalidArgumentError(
-        "predicated join queries are not distributable");
-  }
-  if (spec.left_input != query::AggregateInput::kCount ||
-      spec.right_input != query::AggregateInput::kCount) {
-    return InvalidArgumentError(
-        "SUM-aggregate join queries are not distributable (wire "
-        "registrations carry COUNT inputs only)");
-  }
-  const auto left = stream_domains_.find(spec.left_stream);
-  const auto right = stream_domains_.find(spec.right_stream);
-  if (left == stream_domains_.end() || right == stream_domains_.end()) {
-    return NotFoundError("join query references an unregistered stream");
-  }
-  QueryInfo info;
-  info.kind = QueryInfo::Kind::kJoin;
-  info.join_spec = spec;
-  // The merge accumulator must be built from the SAME effective spec the
-  // workers use; the engine fills domain_size from the registered streams,
-  // so the coordinator does the same from its recorded registrations.
-  info.join_spec.estimator.domain_size =
-      std::max(left->second, right->second);
-  info.seed = seed;
-  const query::QueryId id = next_query_id_++;
-  info.wire_name = "q" + std::to_string(id);
-  SKIMJOIN_RETURN_IF_ERROR(Broadcast(
-      MessageType::kRegisterJoinQuery,
-      EncodeJoinQueryReg(
-          RegFromJoinSpec(info.wire_name, info.join_spec, seed))));
-  queries_[id] = std::move(info);
-  return id;
+  return AddQuery(spec, seed);
 }
 
 StatusOr<query::QueryId> Coordinator::AddSelfJoinQuery(
     const query::SelfJoinQuerySpec& spec, uint64_t seed) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (spec.predicate.has_value()) {
-    return InvalidArgumentError(
-        "predicated self-join queries are not distributable");
-  }
-  if (spec.input != query::AggregateInput::kCount) {
-    return InvalidArgumentError(
-        "SUM-aggregate self-join queries are not distributable (wire "
-        "registrations carry COUNT inputs only)");
-  }
-  const auto stream = stream_domains_.find(spec.stream);
-  if (stream == stream_domains_.end()) {
-    return NotFoundError("self-join query references an unregistered stream");
-  }
-  QueryInfo info;
-  info.kind = QueryInfo::Kind::kSelfJoin;
-  info.self_spec = spec;
-  info.self_spec.estimator.domain_size = stream->second;
-  info.seed = seed;
-  const query::QueryId id = next_query_id_++;
-  info.wire_name = "q" + std::to_string(id);
-  query::JoinQuerySpec as_join;
-  as_join.left_stream = spec.stream;
-  as_join.right_stream = spec.stream;
-  as_join.estimator = info.self_spec.estimator;
-  JoinQueryReg reg = RegFromJoinSpec(info.wire_name, as_join, seed);
-  reg.self_join = true;
-  SKIMJOIN_RETURN_IF_ERROR(
-      Broadcast(MessageType::kRegisterJoinQuery, EncodeJoinQueryReg(reg)));
-  queries_[id] = std::move(info);
-  return id;
+  return AddQuery(spec.AsJoin(), seed);
 }
 
 StatusOr<query::QueryId> Coordinator::AddFrequencyQuery(
     const query::FrequencyQuerySpec& spec, uint64_t seed) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (spec.predicate.has_value()) {
+  return AddQuery(spec, seed);
+}
+
+StatusOr<query::QueryId> Coordinator::AddChainJoinQuery(
+    const query::ChainJoinQuerySpec& spec, uint64_t seed) {
+  return AddQuery(spec, seed);
+}
+
+Status Coordinator::CheckDistributable(const query::QuerySpec& spec) const {
+  const auto registered = [&](const std::string& stream) {
+    return stream_domains_.count(stream) != 0;
+  };
+  if (const auto* join = std::get_if<query::JoinQuerySpec>(&spec)) {
+    if (join->left_predicate || join->right_predicate ||
+        join->left_input != query::AggregateInput::kCount ||
+        join->right_input != query::AggregateInput::kCount) {
+      return InvalidArgumentError(
+          "predicated and SUM-aggregate joins are not distributable");
+    }
+    if (!registered(join->left_stream) || !registered(join->right_stream)) {
+      return NotFoundError("join query references an unregistered stream");
+    }
+  } else if (const auto* frequency =
+                 std::get_if<query::FrequencyQuerySpec>(&spec)) {
+    if (frequency->predicate) {
+      return InvalidArgumentError(
+          "predicated frequency queries are not distributable");
+    }
+    if (!registered(frequency->stream)) {
+      return NotFoundError("frequency query references an unregistered stream");
+    }
+  } else if (const auto* chain =
+                 std::get_if<query::ChainJoinQuerySpec>(&spec)) {
+    if (chain->relations.size() < 2) {
+      return InvalidArgumentError("chain join needs at least two relations");
+    }
+    for (const std::string& relation : chain->relations) {
+      if (relation_specs_.count(relation) == 0) {
+        return NotFoundError("chain join references unregistered relation '" +
+                             relation + "'");
+      }
+    }
+  } else {
     return InvalidArgumentError(
-        "predicated frequency queries are not distributable");
+        "only join, frequency and chain-join queries are distributable");
   }
-  if (stream_domains_.count(spec.stream) == 0) {
-    return NotFoundError("frequency query references an unregistered stream");
-  }
-  QueryInfo info;
-  info.kind = QueryInfo::Kind::kFrequency;
-  info.freq_spec = spec;
-  info.seed = seed;
+  return OkStatus();
+}
+
+StatusOr<query::QueryId> Coordinator::AddQuery(const query::QuerySpec& spec,
+                                               uint64_t seed) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  SKIMJOIN_RETURN_IF_ERROR(CheckDistributable(spec));
+  // A failed registration still uses up its id: its wire name may already
+  // be on the replay record or registered on some shards.
   const query::QueryId id = next_query_id_++;
-  info.wire_name = "q" + std::to_string(id);
-  FrequencyQueryReg reg;
-  reg.query_name = info.wire_name;
-  reg.stream = spec.stream;
-  reg.space_counters = spec.space_counters;
-  reg.num_tables = spec.num_tables;
-  reg.use_dyadic = spec.use_dyadic;
-  reg.seed = seed;
-  SKIMJOIN_RETURN_IF_ERROR(Broadcast(MessageType::kRegisterFrequencyQuery,
-                                     EncodeFrequencyQueryReg(reg)));
+  QueryInfo info{"q" + std::to_string(id), spec, seed};
+  SKIMJOIN_RETURN_IF_ERROR(Broadcast(
+      MessageType::kRegisterQuery,
+      EncodeQueryReg({info.wire_name, info.seed, info.spec})));
   queries_[id] = std::move(info);
   return id;
 }
@@ -477,13 +416,6 @@ Status Coordinator::UpdateBatch(const std::string& stream,
     }
   }
   return first_failure;
-}
-
-StatusOr<Coordinator::QueryInfo*> Coordinator::FindQuery(
-    query::QueryId query) {
-  const auto it = queries_.find(query);
-  if (it == queries_.end()) return NotFoundError("unknown query id");
-  return &it->second;
 }
 
 std::vector<ShardContribution> Coordinator::PullDeltas(query::QueryId query) {
@@ -540,57 +472,72 @@ std::vector<ShardContribution> Coordinator::PullDeltas(query::QueryId query) {
   return contributions;
 }
 
-StatusOr<std::unique_ptr<core::JoinEstimatorPair>> Coordinator::MergedJoinPair(
-    query::QueryId query, const QueryInfo& info) {
-  const core::EstimatorSpec& spec = info.kind == QueryInfo::Kind::kJoin
-                                        ? info.join_spec.estimator
-                                        : info.self_spec.estimator;
-  SKIMJOIN_ASSIGN_OR_RETURN(std::unique_ptr<core::JoinEstimatorPair> merged,
-                            core::CreateJoinEstimatorPair(spec, info.seed));
+template <typename Node>
+StatusOr<std::unique_ptr<Node>> Coordinator::PullAndMerge(
+    query::QueryId query, std::vector<ShardContribution>* contributions) {
+  const auto it = queries_.find(query);
+  if (it == queries_.end()) return NotFoundError("unknown query id");
+  const QueryInfo& info = it->second;
+  if (!std::holds_alternative<typename Node::Spec>(info.spec)) {
+    return InvalidArgumentError("query " + std::to_string(query) + " is a " +
+                                query::QueryKindName(info.spec) + " query");
+  }
+  std::vector<ShardContribution> pulled = PullDeltas(query);
+  if (contributions != nullptr) *contributions = std::move(pulled);
+  // The nodes are built from the spec the workers registered, over the
+  // domain their engines resolved, so every shard record restores into an
+  // equal node and sums into the accumulator.
+  uint64_t domain_size = 0;
+  if (const auto* join = std::get_if<query::JoinQuerySpec>(&info.spec)) {
+    domain_size = stream_domains_.at(join->left_stream);
+  } else if (const auto* frequency =
+                 std::get_if<query::FrequencyQuerySpec>(&info.spec)) {
+    domain_size = stream_domains_.at(frequency->stream);
+  }
+  SKIMJOIN_ASSIGN_OR_RETURN(
+      std::unique_ptr<query::Synopsis> merged,
+      query::BuildSynopsis(info.spec, info.seed, domain_size));
+  size_t pieces = 0;
   for (const auto& shard : shards_) {
-    const auto it = shard->deltas.find(query);
-    if (it == shard->deltas.end() || !it->second.valid) continue;
-    SKIMJOIN_ASSIGN_OR_RETURN(std::unique_ptr<core::JoinEstimatorPair> piece,
-                              core::CreateJoinEstimatorPair(spec, info.seed));
-    std::istringstream in(it->second.synopsis);
+    const auto delta = shard->deltas.find(query);
+    if (delta == shard->deltas.end() || !delta->second.valid) continue;
+    SKIMJOIN_ASSIGN_OR_RETURN(
+        std::unique_ptr<query::Synopsis> piece,
+        query::BuildSynopsis(info.spec, info.seed, domain_size));
+    std::istringstream in(delta->second.synopsis);
     SKIMJOIN_RETURN_IF_ERROR(piece->RestoreFrom(in));
     SKIMJOIN_RETURN_IF_ERROR(merged->MergeFrom(*piece));
+    ++pieces;
   }
-  return merged;
+  // A join answers from the empty accumulator (its report flags every
+  // shard); a point or chain answer with nothing behind it is refused.
+  if (pieces == 0 && !std::is_same_v<Node, query::JoinSynopsis>) {
+    return FailedPreconditionError(std::string("no shard delta available "
+                                               "for this ") +
+                                   query::QueryKindName(info.spec) +
+                                   " query");
+  }
+  return std::unique_ptr<Node>(static_cast<Node*>(merged.release()));
 }
 
 StatusOr<double> Coordinator::AnswerJoin(query::QueryId query) {
   const metrics::TraceSpan span("coordinator.answer_join", "dist");
   std::lock_guard<std::mutex> lock(mutex_);
-  SKIMJOIN_ASSIGN_OR_RETURN(QueryInfo * info, FindQuery(query));
-  if (info->kind != QueryInfo::Kind::kJoin &&
-      info->kind != QueryInfo::Kind::kSelfJoin) {
-    return InvalidArgumentError("query is not a (self-)join query");
-  }
-  PullDeltas(query);
-  SKIMJOIN_ASSIGN_OR_RETURN(std::unique_ptr<core::JoinEstimatorPair> merged,
-                            MergedJoinPair(query, *info));
-  return merged->Estimate();
+  SKIMJOIN_ASSIGN_OR_RETURN(std::unique_ptr<query::JoinSynopsis> merged,
+                            PullAndMerge<query::JoinSynopsis>(query, nullptr));
+  return merged->pair().Estimate();
 }
 
 StatusOr<EstimateReport> Coordinator::AnswerJoinWithReport(
     query::QueryId query) {
   const metrics::TraceSpan span("coordinator.answer_join", "dist");
   std::lock_guard<std::mutex> lock(mutex_);
-  SKIMJOIN_ASSIGN_OR_RETURN(QueryInfo * info, FindQuery(query));
-  if (info->kind != QueryInfo::Kind::kJoin &&
-      info->kind != QueryInfo::Kind::kSelfJoin) {
-    return InvalidArgumentError("query is not a (self-)join query");
-  }
-  std::vector<ShardContribution> shards = PullDeltas(query);
-  SKIMJOIN_ASSIGN_OR_RETURN(std::unique_ptr<core::JoinEstimatorPair> merged,
-                            MergedJoinPair(query, *info));
+  std::vector<ShardContribution> shards;
+  SKIMJOIN_ASSIGN_OR_RETURN(std::unique_ptr<query::JoinSynopsis> merged,
+                            PullAndMerge<query::JoinSynopsis>(query, &shards));
   SKIMJOIN_ASSIGN_OR_RETURN(EstimateReport report,
-                            merged->EstimateWithReport());
-  report.partial = false;
-  for (const ShardContribution& shard : shards) {
-    if (!shard.fresh || shard.epochs_behind > 0) report.partial = true;
-  }
+                            merged->pair().EstimateWithReport());
+  report.partial = AnyPartial(shards);
   report.shards = std::move(shards);
   return report;
 }
@@ -599,33 +546,10 @@ StatusOr<int64_t> Coordinator::AnswerPointFrequency(query::QueryId query,
                                                     uint64_t value) {
   const metrics::TraceSpan span("coordinator.answer_point", "dist");
   std::lock_guard<std::mutex> lock(mutex_);
-  SKIMJOIN_ASSIGN_OR_RETURN(QueryInfo * info, FindQuery(query));
-  if (info->kind != QueryInfo::Kind::kFrequency) {
-    return InvalidArgumentError("query is not a frequency query");
-  }
-  PullDeltas(query);
-  std::optional<core::SkimmedSketch> merged;
-  for (const auto& shard : shards_) {
-    const auto it = shard->deltas.find(query);
-    if (it == shard->deltas.end() || !it->second.valid) continue;
-    std::istringstream in(it->second.synopsis);
-    SKIMJOIN_ASSIGN_OR_RETURN(core::SkimmedSketch piece,
-                              core::SkimmedSketch::DeserializeFrom(in));
-    if (!merged.has_value()) {
-      merged.emplace(std::move(piece));
-    } else {
-      if (!merged->CompatibleWith(piece)) {
-        return InternalError(
-            "shard deltas disagree on frequency-sketch configuration");
-      }
-      merged->Merge(piece);
-    }
-  }
-  if (!merged.has_value()) {
-    return FailedPreconditionError(
-        "no shard delta available for this frequency query");
-  }
-  return merged->EstimatePointFrequency(value);
+  SKIMJOIN_ASSIGN_OR_RETURN(
+      std::unique_ptr<query::FrequencySynopsis> merged,
+      PullAndMerge<query::FrequencySynopsis>(query, nullptr));
+  return merged->sketch().EstimatePointFrequency(value);
 }
 
 Status Coordinator::RegisterRelation(const query::RelationSpec& spec) {
@@ -646,39 +570,6 @@ Status Coordinator::RegisterRelation(const query::RelationSpec& spec) {
       Broadcast(MessageType::kRegisterRelation, EncodeRelationReg(reg)));
   relation_specs_[spec.name] = spec;
   return OkStatus();
-}
-
-StatusOr<query::QueryId> Coordinator::AddChainJoinQuery(
-    const query::ChainJoinQuerySpec& spec, uint64_t seed) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (spec.relations.size() < 2) {
-    return InvalidArgumentError("chain join needs at least two relations");
-  }
-  for (const std::string& relation : spec.relations) {
-    if (relation_specs_.count(relation) == 0) {
-      return NotFoundError("chain join references unregistered relation '" +
-                           relation + "'");
-    }
-  }
-  QueryInfo info;
-  info.kind = QueryInfo::Kind::kChain;
-  info.chain_spec = spec;
-  info.seed = seed;
-  const query::QueryId id = next_query_id_++;
-  info.wire_name = "q" + std::to_string(id);
-  ChainQueryReg reg;
-  reg.query_name = info.wire_name;
-  reg.relations = spec.relations;
-  reg.method = static_cast<uint32_t>(spec.method);
-  reg.num_means = spec.num_means;
-  reg.num_medians = spec.num_medians;
-  reg.num_tables = spec.num_tables;
-  reg.num_buckets = spec.num_buckets;
-  reg.seed = seed;
-  SKIMJOIN_RETURN_IF_ERROR(Broadcast(MessageType::kRegisterChainQuery,
-                                     EncodeChainQueryReg(reg)));
-  queries_[id] = std::move(info);
-  return id;
 }
 
 Status Coordinator::UpdateRelation(const std::string& relation,
@@ -716,79 +607,25 @@ Status Coordinator::UpdateRelation(const std::string& relation,
   return OkStatus();
 }
 
-StatusOr<EstimateReport> Coordinator::MergedChainReport(
-    query::QueryId query, const QueryInfo& info) {
-  if (info.chain_spec.method == query::ChainJoinQuerySpec::Method::kAgmsGrid) {
-    std::optional<query::MultiJoinEstimator> merged;
-    for (const auto& shard : shards_) {
-      const auto it = shard->deltas.find(query);
-      if (it == shard->deltas.end() || !it->second.valid) continue;
-      std::istringstream in(it->second.synopsis);
-      SKIMJOIN_ASSIGN_OR_RETURN(query::MultiJoinEstimator piece,
-                                query::MultiJoinEstimator::DeserializeFrom(in));
-      if (!merged.has_value()) {
-        merged.emplace(std::move(piece));
-      } else {
-        // MergeFrom validates config and seed — disagreeing shard deltas
-        // surface here instead of silently summing incompatible grids.
-        SKIMJOIN_RETURN_IF_ERROR(merged->MergeFrom(piece));
-      }
-    }
-    if (!merged.has_value()) {
-      return FailedPreconditionError(
-          "no shard delta available for this chain-join query");
-    }
-    return merged->EstimateWithReport();
-  }
-  std::optional<query::MultiJoinHashEstimator> merged;
-  for (const auto& shard : shards_) {
-    const auto it = shard->deltas.find(query);
-    if (it == shard->deltas.end() || !it->second.valid) continue;
-    std::istringstream in(it->second.synopsis);
-    SKIMJOIN_ASSIGN_OR_RETURN(
-        query::MultiJoinHashEstimator piece,
-        query::MultiJoinHashEstimator::DeserializeFrom(in));
-    if (!merged.has_value()) {
-      merged.emplace(std::move(piece));
-    } else {
-      SKIMJOIN_RETURN_IF_ERROR(merged->MergeFrom(piece));
-    }
-  }
-  if (!merged.has_value()) {
-    return FailedPreconditionError(
-        "no shard delta available for this chain-join query");
-  }
-  return merged->EstimateWithReport();
-}
-
 StatusOr<double> Coordinator::AnswerChainJoin(query::QueryId query) {
   const metrics::TraceSpan span("coordinator.answer_chain", "dist");
   std::lock_guard<std::mutex> lock(mutex_);
-  SKIMJOIN_ASSIGN_OR_RETURN(QueryInfo * info, FindQuery(query));
-  if (info->kind != QueryInfo::Kind::kChain) {
-    return InvalidArgumentError("query is not a chain-join query");
-  }
-  PullDeltas(query);
-  SKIMJOIN_ASSIGN_OR_RETURN(EstimateReport report,
-                            MergedChainReport(query, *info));
-  return report.estimate;
+  SKIMJOIN_ASSIGN_OR_RETURN(
+      std::unique_ptr<query::ChainJoinSynopsis> merged,
+      PullAndMerge<query::ChainJoinSynopsis>(query, nullptr));
+  return merged->Estimate();
 }
 
 StatusOr<EstimateReport> Coordinator::AnswerChainJoinWithReport(
     query::QueryId query) {
   const metrics::TraceSpan span("coordinator.answer_chain", "dist");
   std::lock_guard<std::mutex> lock(mutex_);
-  SKIMJOIN_ASSIGN_OR_RETURN(QueryInfo * info, FindQuery(query));
-  if (info->kind != QueryInfo::Kind::kChain) {
-    return InvalidArgumentError("query is not a chain-join query");
-  }
-  std::vector<ShardContribution> shards = PullDeltas(query);
-  SKIMJOIN_ASSIGN_OR_RETURN(EstimateReport report,
-                            MergedChainReport(query, *info));
-  report.partial = false;
-  for (const ShardContribution& shard : shards) {
-    if (!shard.fresh || shard.epochs_behind > 0) report.partial = true;
-  }
+  std::vector<ShardContribution> shards;
+  SKIMJOIN_ASSIGN_OR_RETURN(
+      std::unique_ptr<query::ChainJoinSynopsis> merged,
+      PullAndMerge<query::ChainJoinSynopsis>(query, &shards));
+  EstimateReport report = merged->EstimateWithReport();
+  report.partial = AnyPartial(shards);
   report.shards = std::move(shards);
   return report;
 }

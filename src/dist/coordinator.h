@@ -165,14 +165,11 @@ class Coordinator : public query::DistBackend {
     metrics::Gauge* epoch_gauge = nullptr;
   };
 
-  /// What the coordinator knows about one registered query.
+  /// What the coordinator knows about one registered query: what it
+  /// broadcast, and all it needs to build the nodes it merges into.
   struct QueryInfo {
     std::string wire_name;  // "q<id>" on the wire
-    enum class Kind { kJoin, kSelfJoin, kFrequency, kChain } kind = Kind::kJoin;
-    query::JoinQuerySpec join_spec;        // kJoin (estimator.domain_size filled)
-    query::SelfJoinQuerySpec self_spec;    // kSelfJoin (ditto)
-    query::FrequencyQuerySpec freq_spec;   // kFrequency
-    query::ChainJoinQuerySpec chain_spec;  // kChain
+    query::QuerySpec spec;
     uint64_t seed = 0;
   };
 
@@ -211,18 +208,26 @@ class Coordinator : public query::DistBackend {
   /// the stale cache. Returns per-shard contributions for the report.
   std::vector<ShardContribution> PullDeltas(query::QueryId query);
 
-  /// Merges every cached delta of a join-kind query into a freshly built
-  /// accumulator pair.
-  StatusOr<std::unique_ptr<core::JoinEstimatorPair>> MergedJoinPair(
-      query::QueryId query, const QueryInfo& info);
+  /// The one registration path behind every Add*Query: rejects specs the
+  /// fleet cannot serve, then broadcasts a kRegisterQuery.
+  StatusOr<query::QueryId> AddQuery(const query::QuerySpec& spec,
+                                    uint64_t seed);
 
-  /// Merges every cached delta of a chain query (grid or hash method) and
-  /// reports the merged estimate. FAILED_PRECONDITION when no shard has
-  /// contributed a delta yet.
-  StatusOr<EstimateReport> MergedChainReport(query::QueryId query,
-                                             const QueryInfo& info);
+  /// OK when the fleet can serve `spec`: a join (self-joins included),
+  /// frequency or chain-join query without predicates or SUM inputs, over
+  /// registered streams or relations.
+  Status CheckDistributable(const query::QuerySpec& spec) const;
 
-  StatusOr<QueryInfo*> FindQuery(query::QueryId query);
+  /// Pulls `query`'s deltas (the per-shard contributions go to
+  /// `*contributions` when non-null), then merges every valid cached delta
+  /// into a fresh accumulator: one node built from the query's spec and
+  /// seed per delta, restored from the record and merged in. NOT_FOUND for
+  /// an unknown id, INVALID_ARGUMENT when the query is not of `Node`'s
+  /// kind, FAILED_PRECONDITION when no shard has contributed to a
+  /// non-join query yet.
+  template <typename Node>
+  StatusOr<std::unique_ptr<Node>> PullAndMerge(
+      query::QueryId query, std::vector<ShardContribution>* contributions);
 
   /// The `dist.rpc.<type>.latency_ns` histogram for one message type,
   /// created on first use and cached (registry instruments are stable).

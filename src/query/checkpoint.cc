@@ -17,7 +17,7 @@
 //   relations <count>
 //     <name> <arity> <domain> <tuple_count>
 //   queries <count>
-//     <id> <kind> <seed> <supported> <kind-specific spec fields...>
+//     <id> <kind> <seed> <supported> <spec record (WriteQuerySpec)>
 //   metrics <count>                        (v2 only)
 //     <name> <value>
 //   end
@@ -31,14 +31,11 @@
 // are always present in the manifest — a restore must account for every
 // one of them, never silently drop one.
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
-#include <string_view>
-#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -46,123 +43,10 @@
 #include "query/engine.h"
 #include "util/durable_file.h"
 #include "util/failpoint.h"
-#include "util/logging.h"
 
 namespace skimjoin {
 namespace query {
 namespace {
-
-// --- name encoding ---------------------------------------------------------
-
-// Stream/relation names are arbitrary bytes but the manifest is tokenized on
-// whitespace, so encode anything outside the printable-ASCII range (plus '%'
-// itself) as %XX.
-std::string PercentEncode(std::string_view raw) {
-  static constexpr char kHex[] = "0123456789ABCDEF";
-  std::string out;
-  out.reserve(raw.size());
-  for (const char c : raw) {
-    const auto byte = static_cast<unsigned char>(c);
-    if (byte <= 0x20 || byte >= 0x7f || byte == '%') {
-      out.push_back('%');
-      out.push_back(kHex[byte >> 4]);
-      out.push_back(kHex[byte & 0xf]);
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-int HexValue(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  return -1;
-}
-
-StatusOr<std::string> PercentDecode(const std::string& encoded) {
-  std::string out;
-  out.reserve(encoded.size());
-  for (size_t i = 0; i < encoded.size(); ++i) {
-    if (encoded[i] != '%') {
-      out.push_back(encoded[i]);
-      continue;
-    }
-    if (i + 2 >= encoded.size()) {
-      return InvalidArgumentError("truncated percent escape in manifest name");
-    }
-    const int hi = HexValue(encoded[i + 1]);
-    const int lo = HexValue(encoded[i + 2]);
-    if (hi < 0 || lo < 0) {
-      return InvalidArgumentError("bad percent escape in manifest name");
-    }
-    out.push_back(static_cast<char>(hi * 16 + lo));
-    i += 2;
-  }
-  return out;
-}
-
-// --- enum tokens -----------------------------------------------------------
-
-const char* EstimatorKindToken(core::EstimatorKind kind) {
-  switch (kind) {
-    case core::EstimatorKind::kAgms:
-      return "agms";
-    case core::EstimatorKind::kHashSketch:
-      return "hashsketch";
-    case core::EstimatorKind::kSkimmedSketch:
-      return "skimmed";
-    case core::EstimatorKind::kCountMin:
-      return "countmin";
-    case core::EstimatorKind::kSampling:
-      return "sampling";
-    case core::EstimatorKind::kPartitionedAgms:
-      return "partitionedagms";
-  }
-  SKIMJOIN_CHECK(false) << "unhandled estimator kind";
-  return "";
-}
-
-StatusOr<core::EstimatorKind> EstimatorKindFromToken(const std::string& token) {
-  if (token == "agms") return core::EstimatorKind::kAgms;
-  if (token == "hashsketch") return core::EstimatorKind::kHashSketch;
-  if (token == "skimmed") return core::EstimatorKind::kSkimmedSketch;
-  if (token == "countmin") return core::EstimatorKind::kCountMin;
-  if (token == "sampling") return core::EstimatorKind::kSampling;
-  if (token == "partitionedagms") return core::EstimatorKind::kPartitionedAgms;
-  return InvalidArgumentError("unknown estimator kind in manifest: " + token);
-}
-
-// --- predicates ------------------------------------------------------------
-
-void WritePredicate(std::ostream& out,
-                    const std::optional<RangePredicate>& predicate) {
-  if (predicate.has_value()) {
-    out << "pred " << predicate->lo << ' ' << predicate->hi;
-  } else {
-    out << "nopred";
-  }
-}
-
-StatusOr<std::optional<RangePredicate>> ReadPredicate(std::istream& in) {
-  std::string token;
-  if (!(in >> token)) {
-    return InvalidArgumentError("manifest query line missing its predicate");
-  }
-  if (token == "nopred") return std::optional<RangePredicate>{};
-  if (token != "pred") {
-    return InvalidArgumentError("bad predicate token in manifest: " + token);
-  }
-  RangePredicate predicate;
-  if (!(in >> predicate.lo >> predicate.hi)) {
-    return InvalidArgumentError("malformed predicate bounds in manifest");
-  }
-  if (predicate.lo > predicate.hi) {
-    return InvalidArgumentError("manifest predicate has lo > hi");
-  }
-  return std::optional<RangePredicate>{predicate};
-}
 
 // --- parsed manifest -------------------------------------------------------
 
@@ -231,104 +115,7 @@ StatusOr<ManifestQuery> ParseManifestQuery(std::istream& in) {
     return InvalidArgumentError("manifest query supported flag must be 0/1");
   }
   q.supported = supported == 1;
-
-  if (q.kind == "join") {
-    JoinQuerySpec& join = q.spec.emplace<JoinQuerySpec>();
-    SKIMJOIN_ASSIGN_OR_RETURN(join.left_stream,
-                              ReadName(in, "join query streams"));
-    SKIMJOIN_ASSIGN_OR_RETURN(join.right_stream,
-                              ReadName(in, "join query streams"));
-    std::string estimator_token;
-    int left_input = 0;
-    int right_input = 0;
-    int use_dyadic = 0;
-    core::EstimatorSpec& est = join.estimator;
-    if (!(in >> estimator_token >> est.space_counters >> est.agms_num_medians >>
-          est.num_tables >> est.threshold_scale >> est.recurse_slack >>
-          est.skim_margin >> use_dyadic >> left_input >> right_input)) {
-      return InvalidArgumentError("malformed join query fields in manifest");
-    }
-    SKIMJOIN_ASSIGN_OR_RETURN(est.kind,
-                              EstimatorKindFromToken(estimator_token));
-    est.skimmed_use_dyadic = use_dyadic != 0;
-    join.left_input = left_input == 0 ? AggregateInput::kCount
-                                      : AggregateInput::kMeasure;
-    join.right_input = right_input == 0 ? AggregateInput::kCount
-                                        : AggregateInput::kMeasure;
-    SKIMJOIN_ASSIGN_OR_RETURN(join.left_predicate, ReadPredicate(in));
-    SKIMJOIN_ASSIGN_OR_RETURN(join.right_predicate, ReadPredicate(in));
-  } else if (q.kind == "frequency") {
-    FrequencyQuerySpec& frequency = q.spec.emplace<FrequencyQuerySpec>();
-    int use_dyadic = 0;
-    SKIMJOIN_ASSIGN_OR_RETURN(frequency.stream,
-                              ReadName(in, "frequency query stream"));
-    if (!(in >> frequency.space_counters >> frequency.num_tables >>
-          use_dyadic)) {
-      return InvalidArgumentError("malformed frequency query in manifest");
-    }
-    frequency.use_dyadic = use_dyadic != 0;
-    SKIMJOIN_ASSIGN_OR_RETURN(frequency.predicate, ReadPredicate(in));
-  } else if (q.kind == "distinct") {
-    DistinctCountQuerySpec& distinct =
-        q.spec.emplace<DistinctCountQuerySpec>();
-    SKIMJOIN_ASSIGN_OR_RETURN(distinct.stream,
-                              ReadName(in, "distinct query stream"));
-    if (!(in >> distinct.num_maps)) {
-      return InvalidArgumentError("malformed distinct query in manifest");
-    }
-    SKIMJOIN_ASSIGN_OR_RETURN(distinct.predicate, ReadPredicate(in));
-  } else if (q.kind == "topk") {
-    TopKQuerySpec& topk = q.spec.emplace<TopKQuerySpec>();
-    SKIMJOIN_ASSIGN_OR_RETURN(topk.stream, ReadName(in, "top-k query stream"));
-    if (!(in >> topk.k >> topk.space_counters >> topk.num_tables)) {
-      return InvalidArgumentError("malformed top-k query in manifest");
-    }
-    SKIMJOIN_ASSIGN_OR_RETURN(topk.predicate, ReadPredicate(in));
-  } else if (q.kind == "quantile") {
-    QuantileQuerySpec& quantile = q.spec.emplace<QuantileQuerySpec>();
-    SKIMJOIN_ASSIGN_OR_RETURN(quantile.stream,
-                              ReadName(in, "quantile query stream"));
-    if (!(in >> quantile.epsilon)) {
-      return InvalidArgumentError("malformed quantile query in manifest");
-    }
-    SKIMJOIN_ASSIGN_OR_RETURN(quantile.predicate, ReadPredicate(in));
-  } else if (q.kind == "rangesum") {
-    RangeSumQuerySpec& range_sum = q.spec.emplace<RangeSumQuerySpec>();
-    SKIMJOIN_ASSIGN_OR_RETURN(range_sum.stream,
-                              ReadName(in, "range-sum query stream"));
-    if (!(in >> range_sum.coefficient_budget)) {
-      return InvalidArgumentError("malformed range-sum query in manifest");
-    }
-    SKIMJOIN_ASSIGN_OR_RETURN(range_sum.predicate, ReadPredicate(in));
-  } else if (q.kind == "chain") {
-    ChainJoinQuerySpec& chain = q.spec.emplace<ChainJoinQuerySpec>();
-    uint64_t relation_count = 0;
-    if (!(in >> relation_count) || relation_count < 2 ||
-        relation_count > kMaxManifestEntries) {
-      return InvalidArgumentError("bad chain relation count in manifest");
-    }
-    chain.relations.reserve(relation_count);
-    for (uint64_t r = 0; r < relation_count; ++r) {
-      SKIMJOIN_ASSIGN_OR_RETURN(std::string name,
-                                ReadName(in, "chain query relations"));
-      chain.relations.push_back(std::move(name));
-    }
-    std::string method;
-    if (!(in >> method >> chain.num_means >> chain.num_medians >>
-          chain.num_tables >> chain.num_buckets)) {
-      return InvalidArgumentError("malformed chain query in manifest");
-    }
-    if (method == "agmsgrid") {
-      chain.method = ChainJoinQuerySpec::Method::kAgmsGrid;
-    } else if (method == "hashsketch") {
-      chain.method = ChainJoinQuerySpec::Method::kHashSketch;
-    } else {
-      return InvalidArgumentError("unknown chain method in manifest: " +
-                                  method);
-    }
-  } else {
-    return InvalidArgumentError("unknown query kind in manifest: " + q.kind);
-  }
+  SKIMJOIN_ASSIGN_OR_RETURN(q.spec, ReadQuerySpec(in, q.kind));
   return q;
 }
 
@@ -431,94 +218,15 @@ constexpr char kMetaPrefix[] = "meta:";
 constexpr char kQueryPrefix[] = "query:";
 
 // Whether a query's synopsis is checkpointed: not for the sampling and
-// partitioned-AGMS join methods, nor yet for chain joins (their estimators
-// serialize for wire pulls but cannot restore).
+// partitioned-AGMS join methods, nor yet for chain joins (their nodes
+// serialize and restore for wire pulls, but the format is not yet a
+// checkpoint section).
 bool Checkpointable(const QuerySpec& spec) {
   if (std::holds_alternative<ChainJoinQuerySpec>(spec)) return false;
   const auto* join = std::get_if<JoinQuerySpec>(&spec);
   return join == nullptr ||
          (join->estimator.kind != core::EstimatorKind::kSampling &&
           join->estimator.kind != core::EstimatorKind::kPartitionedAgms);
-}
-
-// The kind-specific tail of a manifest query line.
-void WriteSpec(std::ostream& out, const JoinQuerySpec& spec) {
-  const core::EstimatorSpec& est = spec.estimator;
-  out << PercentEncode(spec.left_stream) << ' '
-      << PercentEncode(spec.right_stream) << ' '
-      << EstimatorKindToken(est.kind) << ' ' << est.space_counters << ' '
-      << est.agms_num_medians << ' ' << est.num_tables << ' '
-      << est.threshold_scale << ' ' << est.recurse_slack << ' '
-      << est.skim_margin << ' ' << (est.skimmed_use_dyadic ? 1 : 0) << ' '
-      << (spec.left_input == AggregateInput::kCount ? 0 : 1) << ' '
-      << (spec.right_input == AggregateInput::kCount ? 0 : 1) << ' ';
-  WritePredicate(out, spec.left_predicate);
-  out << ' ';
-  WritePredicate(out, spec.right_predicate);
-}
-
-void WriteSpec(std::ostream& out, const FrequencyQuerySpec& spec) {
-  out << PercentEncode(spec.stream) << ' ' << spec.space_counters << ' '
-      << spec.num_tables << ' ' << (spec.use_dyadic ? 1 : 0) << ' ';
-  WritePredicate(out, spec.predicate);
-}
-
-void WriteSpec(std::ostream& out, const DistinctCountQuerySpec& spec) {
-  out << PercentEncode(spec.stream) << ' ' << spec.num_maps << ' ';
-  WritePredicate(out, spec.predicate);
-}
-
-void WriteSpec(std::ostream& out, const TopKQuerySpec& spec) {
-  out << PercentEncode(spec.stream) << ' ' << spec.k << ' '
-      << spec.space_counters << ' ' << spec.num_tables << ' ';
-  WritePredicate(out, spec.predicate);
-}
-
-void WriteSpec(std::ostream& out, const QuantileQuerySpec& spec) {
-  out << PercentEncode(spec.stream) << ' ' << spec.epsilon << ' ';
-  WritePredicate(out, spec.predicate);
-}
-
-void WriteSpec(std::ostream& out, const RangeSumQuerySpec& spec) {
-  out << PercentEncode(spec.stream) << ' ' << spec.coefficient_budget << ' ';
-  WritePredicate(out, spec.predicate);
-}
-
-void WriteSpec(std::ostream& out, const ChainJoinQuerySpec& spec) {
-  out << spec.relations.size();
-  for (const std::string& name : spec.relations) {
-    out << ' ' << PercentEncode(name);
-  }
-  out << ' '
-      << (spec.method == ChainJoinQuerySpec::Method::kAgmsGrid ? "agmsgrid"
-                                                               : "hashsketch")
-      << ' ' << spec.num_means << ' ' << spec.num_medians << ' '
-      << spec.num_tables << ' ' << spec.num_buckets;
-}
-
-// Re-registers a query from its manifest spec.
-StatusOr<QueryId> Register(Engine* engine, const QuerySpec& spec,
-                           uint64_t seed) {
-  return std::visit(
-      [&](const auto& s) -> StatusOr<QueryId> {
-        using Spec = std::decay_t<decltype(s)>;
-        if constexpr (std::is_same_v<Spec, JoinQuerySpec>) {
-          return engine->AddJoinQuery(s, seed);
-        } else if constexpr (std::is_same_v<Spec, FrequencyQuerySpec>) {
-          return engine->AddFrequencyQuery(s, seed);
-        } else if constexpr (std::is_same_v<Spec, DistinctCountQuerySpec>) {
-          return engine->AddDistinctCountQuery(s, seed);
-        } else if constexpr (std::is_same_v<Spec, TopKQuerySpec>) {
-          return engine->AddTopKQuery(s, seed);
-        } else if constexpr (std::is_same_v<Spec, QuantileQuerySpec>) {
-          return engine->AddQuantileQuery(s);
-        } else if constexpr (std::is_same_v<Spec, RangeSumQuerySpec>) {
-          return engine->AddRangeSumQuery(s);
-        } else {
-          return engine->AddChainJoinQuery(s, seed);
-        }
-      },
-      spec);
 }
 
 }  // namespace
@@ -557,7 +265,7 @@ Status Engine::SaveCheckpoint(
   for (const auto& [id, q] : queries_) {
     manifest << id << ' ' << QueryKindName(q.spec) << ' ' << q.seed << ' '
              << (Checkpointable(q.spec) ? 1 : 0) << ' ';
-    std::visit([&](const auto& spec) { WriteSpec(manifest, spec); }, q.spec);
+    WriteQuerySpec(manifest, q.spec);
     manifest << '\n';
   }
   // Counters only: they carry cumulative history a restored engine cannot
@@ -728,7 +436,7 @@ StatusOr<RestoreReport> Engine::RestoreCheckpoint(const std::string& path,
       return fail(InvalidArgumentError(
           "manifest marks unserializable kind as supported: " + q.kind));
     }
-    StatusOr<QueryId> created = Register(this, q.spec, q.seed);
+    StatusOr<QueryId> created = AddQuery(q.spec, q.seed);
     if (!created.ok()) return fail(created.status());
     if (*created != q.id) {
       return fail(InternalError("query ids drifted during restore"));

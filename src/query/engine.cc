@@ -369,13 +369,51 @@ StatusOr<StreamId> Engine::FindStream(const std::string& name) const {
   return it->second;
 }
 
-QueryId Engine::AddQuery(QuerySpec spec, uint64_t seed,
-                         std::vector<Subscription> subscriptions,
-                         std::unique_ptr<Synopsis> synopsis) {
+StatusOr<QueryId> Engine::AddQuery(const QuerySpec& spec, uint64_t seed) {
+  // Resolve the streams the query listens to (chain joins: check the
+  // relations); the node itself is built from the spec alone.
+  std::vector<Subscription> subscriptions;
+  SKIMJOIN_RETURN_IF_ERROR(std::visit(
+      SpecVisitor{
+          [&](const JoinQuerySpec& s) -> Status {
+            SKIMJOIN_ASSIGN_OR_RETURN(const StreamId left,
+                                      FindStream(s.left_stream));
+            SKIMJOIN_ASSIGN_OR_RETURN(const StreamId right,
+                                      FindStream(s.right_stream));
+            if (streams_[left].spec.domain_size !=
+                streams_[right].spec.domain_size) {
+              return InvalidArgumentError(
+                  "join streams must share a domain: " + s.left_stream +
+                  " vs " + s.right_stream);
+            }
+            subscriptions = {{left, s.left_predicate, s.left_input},
+                             {right, s.right_predicate, s.right_input}};
+            return OkStatus();
+          },
+          [&](const ChainJoinQuerySpec& s) { return CheckChain(s); },
+          [&](const auto& s) -> Status {
+            SKIMJOIN_ASSIGN_OR_RETURN(const StreamId stream,
+                                      FindStream(s.stream));
+            subscriptions = {{stream, s.predicate}};
+            return OkStatus();
+          },
+      },
+      spec));
+  const uint64_t domain_size =
+      subscriptions.empty()
+          ? 0
+          : streams_[subscriptions[0].stream].spec.domain_size;
+  SKIMJOIN_ASSIGN_OR_RETURN(std::unique_ptr<Synopsis> synopsis,
+                            BuildSynopsis(spec, seed, domain_size));
+  if (auto* frequency = dynamic_cast<FrequencySynopsis*>(synopsis.get())) {
+    frequency->SetKernelOptions(kernel_options_);
+    frequency->Subscribe(&ingest_options_,
+                         streams_[subscriptions[0].stream].counters);
+  }
   const QueryId id = next_query_id_++;
   queries_.emplace(id, QueryState{std::move(subscriptions),
                                   MakeQueryMetrics(id), std::move(synopsis),
-                                  std::move(spec), seed});
+                                  spec, seed});
   return id;
 }
 
@@ -394,118 +432,35 @@ std::pair<const Engine::QueryState*, const Node*> Engine::FindQuery(
 
 StatusOr<QueryId> Engine::AddJoinQuery(const JoinQuerySpec& spec,
                                        uint64_t seed) {
-  SKIMJOIN_ASSIGN_OR_RETURN(const StreamId left, FindStream(spec.left_stream));
-  SKIMJOIN_ASSIGN_OR_RETURN(const StreamId right,
-                            FindStream(spec.right_stream));
-  const StreamState& left_state = streams_[left];
-  const StreamState& right_state = streams_[right];
-  if (left_state.spec.domain_size != right_state.spec.domain_size) {
-    return InvalidArgumentError(
-        "join streams must share a domain: " + spec.left_stream + " vs " +
-        spec.right_stream);
-  }
-
-  core::EstimatorSpec estimator_spec = spec.estimator;
-  estimator_spec.domain_size = left_state.spec.domain_size;
-  SKIMJOIN_ASSIGN_OR_RETURN(std::unique_ptr<core::JoinEstimatorPair> pair,
-                            core::CreateJoinEstimatorPair(estimator_spec,
-                                                          seed));
-  return AddQuery(spec, seed,
-                  {{left, spec.left_predicate, spec.left_input},
-                   {right, spec.right_predicate, spec.right_input}},
-                  std::make_unique<JoinSynopsis>(std::move(pair)));
+  return AddQuery(spec, seed);
 }
 
 StatusOr<QueryId> Engine::AddSelfJoinQuery(const SelfJoinQuerySpec& spec,
                                            uint64_t seed) {
-  JoinQuerySpec join_spec;
-  join_spec.left_stream = spec.stream;
-  join_spec.right_stream = spec.stream;
-  join_spec.estimator = spec.estimator;
-  join_spec.left_input = spec.input;
-  join_spec.right_input = spec.input;
-  join_spec.left_predicate = spec.predicate;
-  join_spec.right_predicate = spec.predicate;
-  return AddJoinQuery(join_spec, seed);
+  return AddQuery(spec.AsJoin(), seed);
 }
 
 StatusOr<QueryId> Engine::AddFrequencyQuery(const FrequencyQuerySpec& spec,
                                             uint64_t seed) {
-  SKIMJOIN_ASSIGN_OR_RETURN(const StreamId stream, FindStream(spec.stream));
-  if (spec.num_tables < 1 || spec.space_counters < spec.num_tables) {
-    return InvalidArgumentError(
-        "frequency query needs 1 <= num_tables <= space_counters");
-  }
-
-  core::SkimmedSketchConfig config;
-  config.domain_size = streams_[stream].spec.domain_size;
-  config.num_tables = spec.num_tables;
-  config.use_dyadic_skim = spec.use_dyadic;
-  if (spec.use_dyadic) {
-    config.num_buckets = std::max<uint64_t>(
-        1, spec.space_counters / (2 * spec.num_tables));
-    uint64_t levels = 0;
-    while ((uint64_t{1} << levels) < config.domain_size) ++levels;
-    config.dyadic_num_buckets = std::max<uint64_t>(
-        1, spec.space_counters / (2 * spec.num_tables * levels));
-  } else {
-    config.num_buckets =
-        std::max<uint64_t>(1, spec.space_counters / spec.num_tables);
-  }
-  SKIMJOIN_ASSIGN_OR_RETURN(core::SkimmedSketch sketch,
-                            core::SkimmedSketch::Create(config, seed));
-  sketch.SetKernelOptions(kernel_options_);
-  return AddQuery(spec, seed, {{stream, spec.predicate}},
-                  std::make_unique<FrequencySynopsis>(
-                      std::move(sketch), &ingest_options_,
-                      streams_[stream].counters));
+  return AddQuery(spec, seed);
 }
 
 StatusOr<QueryId> Engine::AddDistinctCountQuery(
     const DistinctCountQuerySpec& spec, uint64_t seed) {
-  SKIMJOIN_ASSIGN_OR_RETURN(const StreamId stream, FindStream(spec.stream));
-  SKIMJOIN_ASSIGN_OR_RETURN(sketch::FmSketch sketch,
-                            sketch::FmSketch::Create(spec.num_maps, seed));
-  return AddQuery(spec, seed, {{stream, spec.predicate}},
-                  std::make_unique<DistinctSynopsis>(std::move(sketch)));
+  return AddQuery(spec, seed);
 }
 
 StatusOr<QueryId> Engine::AddTopKQuery(const TopKQuerySpec& spec,
                                        uint64_t seed) {
-  SKIMJOIN_ASSIGN_OR_RETURN(const StreamId stream, FindStream(spec.stream));
-  if (spec.num_tables < 1 || spec.space_counters < spec.num_tables) {
-    return InvalidArgumentError(
-        "top-k query needs 1 <= num_tables <= space_counters");
-  }
-  sketch::HashSketchConfig config;
-  config.num_tables = spec.num_tables;
-  config.num_buckets =
-      std::max<uint64_t>(1, spec.space_counters / spec.num_tables);
-  SKIMJOIN_ASSIGN_OR_RETURN(core::TopKTracker tracker,
-                            core::TopKTracker::Create(spec.k, config, seed));
-  return AddQuery(spec, seed, {{stream, spec.predicate}},
-                  std::make_unique<TopKSynopsis>(std::move(tracker)));
+  return AddQuery(spec, seed);
 }
 
 StatusOr<QueryId> Engine::AddQuantileQuery(const QuantileQuerySpec& spec) {
-  SKIMJOIN_ASSIGN_OR_RETURN(const StreamId stream, FindStream(spec.stream));
-  SKIMJOIN_ASSIGN_OR_RETURN(stream::GkQuantileSummary summary,
-                            stream::GkQuantileSummary::Create(spec.epsilon));
-  return AddQuery(spec, /*seed=*/0, {{stream, spec.predicate}},
-                  std::make_unique<QuantileSynopsis>(std::move(summary)));
+  return AddQuery(spec, /*seed=*/0);
 }
 
 StatusOr<QueryId> Engine::AddRangeSumQuery(const RangeSumQuerySpec& spec) {
-  SKIMJOIN_ASSIGN_OR_RETURN(const StreamId stream, FindStream(spec.stream));
-  if (spec.coefficient_budget < 1) {
-    return InvalidArgumentError("coefficient_budget must be >= 1");
-  }
-  SKIMJOIN_ASSIGN_OR_RETURN(
-      stream::WaveletSynopsis synopsis,
-      stream::WaveletSynopsis::Create(streams_[stream].spec.domain_size));
-  return AddQuery(spec, /*seed=*/0, {{stream, spec.predicate}},
-                  std::make_unique<RangeSumSynopsis>(
-                      std::move(synopsis), spec.coefficient_budget));
+  return AddQuery(spec, /*seed=*/0);
 }
 
 StatusOr<StreamId> Engine::RegisterRelation(const RelationSpec& spec) {
@@ -536,13 +491,7 @@ StatusOr<StreamId> Engine::FindRelation(const std::string& name) const {
   return it->second;
 }
 
-StatusOr<QueryId> Engine::AddChainJoinQuery(const ChainJoinQuerySpec& spec,
-                                            uint64_t seed) {
-  if (spec.relations.size() < 2) {
-    return InvalidArgumentError("a chain join needs >= 2 relations");
-  }
-  std::vector<StreamId> chain;
-  chain.reserve(spec.relations.size());
+Status Engine::CheckChain(const ChainJoinQuerySpec& spec) const {
   for (size_t position = 0; position < spec.relations.size(); ++position) {
     SKIMJOIN_ASSIGN_OR_RETURN(const StreamId id,
                               FindRelation(spec.relations[position]));
@@ -556,32 +505,13 @@ StatusOr<QueryId> Engine::AddChainJoinQuery(const ChainJoinQuerySpec& spec,
           std::to_string(position) + " requires arity " +
           std::to_string(expected_arity));
     }
-    chain.push_back(id);
   }
+  return OkStatus();
+}
 
-  std::optional<MultiJoinEstimator> grid;
-  std::optional<MultiJoinHashEstimator> hashed;
-  if (spec.method == ChainJoinQuerySpec::Method::kAgmsGrid) {
-    MultiJoinConfig config;
-    config.num_means = spec.num_means;
-    config.num_medians = spec.num_medians;
-    config.relation_attributes.push_back({0});
-    for (size_t r = 1; r + 1 < spec.relations.size(); ++r) {
-      config.relation_attributes.push_back({r - 1, r});
-    }
-    config.relation_attributes.push_back({spec.relations.size() - 2});
-    SKIMJOIN_ASSIGN_OR_RETURN(grid, MultiJoinEstimator::Create(config, seed));
-  } else {
-    MultiJoinHashConfig config;
-    config.num_relations = spec.relations.size();
-    config.num_tables = spec.num_tables;
-    config.num_buckets = spec.num_buckets;
-    SKIMJOIN_ASSIGN_OR_RETURN(hashed,
-                              MultiJoinHashEstimator::Create(config, seed));
-  }
-  return AddQuery(spec, seed, {},
-                  std::make_unique<ChainJoinSynopsis>(
-                      std::move(grid), std::move(hashed), std::move(chain)));
+StatusOr<QueryId> Engine::AddChainJoinQuery(const ChainJoinQuerySpec& spec,
+                                            uint64_t seed) {
+  return AddQuery(spec, seed);
 }
 
 Status Engine::UpdateRelation(const std::string& relation,
@@ -606,7 +536,8 @@ Status Engine::UpdateRelation(const std::string& relation,
 
   for (auto& [query_id, q] : queries_) {
     if (auto* chain = dynamic_cast<ChainJoinSynopsis*>(q.synopsis.get())) {
-      SKIMJOIN_RETURN_IF_ERROR(chain->UpdateTuple(*id, attributes, weight));
+      SKIMJOIN_RETURN_IF_ERROR(
+          chain->UpdateTuple(relation, attributes, weight));
     }
   }
   return OkStatus();

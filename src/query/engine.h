@@ -139,6 +139,13 @@ class Engine {
   /// INVALID_ARGUMENT for an empty name or domain < 2.
   StatusOr<StreamId> RegisterStream(const StreamSpec& spec);
 
+  /// Registers a standing query of any kind under the next id: the one
+  /// registration path behind every Add*Query below, checkpoint restore and
+  /// the fleet worker. The spec's streams (or, for a chain join, its
+  /// relations) must already be registered. Quantile and range-sum
+  /// synopses draw no randomness and ignore `seed`.
+  StatusOr<QueryId> AddQuery(const QuerySpec& spec, uint64_t seed);
+
   /// Registers AGG(left ⋈ right). Both streams must already be registered
   /// with equal domains (NOT_FOUND / INVALID_ARGUMENT otherwise). All query
   /// randomness derives from `seed`.
@@ -498,10 +505,9 @@ class Engine {
   /// hands every subscription of every query its projection of the batch.
   Status Ingest(StreamId stream, std::span<const StreamUpdate> updates);
 
-  /// Registers a new query under the next id.
-  QueryId AddQuery(QuerySpec spec, uint64_t seed,
-                   std::vector<Subscription> subscriptions,
-                   std::unique_ptr<Synopsis> synopsis);
+  /// Checks that a chain's relations are registered with the arities
+  /// their positions need (1 at the ends, 2 inside).
+  Status CheckChain(const ChainJoinQuerySpec& spec) const;
 
   /// The query `id` and its synopsis as a `Node` (a query whose spec is a
   /// `Node::Spec` holds a `Node`); the node is null when the id is unknown

@@ -7,13 +7,17 @@
 #define SKIMJOIN_QUERY_QUERY_H_
 
 #include <cstdint>
+#include <istream>
 #include <iterator>
 #include <optional>
+#include <ostream>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
 #include "core/join_estimators.h"
+#include "util/status.h"
 
 namespace skimjoin {
 namespace query {
@@ -69,6 +73,12 @@ struct SelfJoinQuerySpec {
   core::EstimatorSpec estimator;
   AggregateInput input = AggregateInput::kCount;
   std::optional<RangePredicate> predicate;
+
+  /// The join it is registered as: F ⋈ F with the same input and
+  /// predicate on both sides.
+  JoinQuerySpec AsJoin() const {
+    return {stream, stream, estimator, input, input, predicate, predicate};
+  }
 };
 
 /// Point-frequency / heavy-hitter tracking over one stream, answered from a
@@ -157,6 +167,13 @@ using QuerySpec =
                  TopKQuerySpec, QuantileQuerySpec, RangeSumQuerySpec,
                  ChainJoinQuerySpec>;
 
+/// A QuerySpec visitor made of one lambda per alternative; a generic
+/// lambda covers the alternatives no other lambda names.
+template <typename... Fs>
+struct SpecVisitor : Fs... {
+  using Fs::operator()...;
+};
+
 /// The query kind's stable token ("join", "frequency", "distinct", "topk",
 /// "quantile", "rangesum", "chain"), as checkpoint manifests and health
 /// reports spell it.
@@ -167,6 +184,23 @@ inline const char* QueryKindName(const QuerySpec& spec) {
   static_assert(std::size(kNames) == std::variant_size_v<QuerySpec>);
   return kNames[spec.index()];
 }
+
+/// A name (stream, relation, metric) spelled for whitespace-tokenized
+/// text: bytes outside printable ASCII, and '%' itself, become %XX.
+std::string PercentEncode(std::string_view raw);
+StatusOr<std::string> PercentDecode(const std::string& encoded);
+
+/// The spec's text record: its kind-specific fields, whitespace-separated,
+/// names percent-encoded and doubles at max_digits10, so every field of a
+/// spec with finite doubles reads back bit-exactly. The kind token
+/// (QueryKindName) is not part of it. Checkpoint manifests carry it after
+/// `<id> <kind> <seed> <supported>`, the fleet's registration message after
+/// `<name> <seed> <kind>`.
+void WriteQuerySpec(std::ostream& out, const QuerySpec& spec);
+
+/// Reads the record WriteQuerySpec wrote for a spec of kind `kind`.
+/// INVALID_ARGUMENT for an unknown kind or a malformed or truncated record.
+StatusOr<QuerySpec> ReadQuerySpec(std::istream& in, const std::string& kind);
 
 }  // namespace query
 }  // namespace skimjoin

@@ -1,12 +1,150 @@
 #include "query/synopsis.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
+#include <variant>
+
+#include "util/logging.h"
 
 namespace skimjoin {
 namespace query {
+namespace {
+
+template <typename Node, typename... Args>
+std::unique_ptr<Synopsis> MakeNode(Args&&... args) {
+  return std::make_unique<Node>(std::forward<Args>(args)...);
+}
+
+Status MergeMismatch(const char* kind) {
+  return InvalidArgumentError(std::string("cannot merge another query kind "
+                                          "into a ") +
+                              kind + " synopsis");
+}
+
+StatusOr<std::unique_ptr<Synopsis>> BuildChain(const ChainJoinQuerySpec& spec,
+                                               uint64_t seed) {
+  if (spec.relations.size() < 2) {
+    return InvalidArgumentError("a chain join needs >= 2 relations");
+  }
+  std::optional<MultiJoinEstimator> grid;
+  std::optional<MultiJoinHashEstimator> hashed;
+  if (spec.method == ChainJoinQuerySpec::Method::kAgmsGrid) {
+    MultiJoinConfig config;
+    config.num_means = spec.num_means;
+    config.num_medians = spec.num_medians;
+    config.relation_attributes.push_back({0});
+    for (size_t r = 1; r + 1 < spec.relations.size(); ++r) {
+      config.relation_attributes.push_back({r - 1, r});
+    }
+    config.relation_attributes.push_back({spec.relations.size() - 2});
+    SKIMJOIN_ASSIGN_OR_RETURN(grid, MultiJoinEstimator::Create(config, seed));
+  } else {
+    MultiJoinHashConfig config;
+    config.num_relations = spec.relations.size();
+    config.num_tables = spec.num_tables;
+    config.num_buckets = spec.num_buckets;
+    SKIMJOIN_ASSIGN_OR_RETURN(hashed,
+                              MultiJoinHashEstimator::Create(config, seed));
+  }
+  return MakeNode<ChainJoinSynopsis>(std::move(grid), std::move(hashed),
+                                     spec.relations);
+}
+
+}  // namespace
+
+StatusOr<std::unique_ptr<Synopsis>> BuildSynopsis(const QuerySpec& spec,
+                                                  uint64_t seed,
+                                                  uint64_t domain_size) {
+  using Built = StatusOr<std::unique_ptr<Synopsis>>;
+  return std::visit(
+      SpecVisitor{
+          [&](const JoinQuerySpec& s) -> Built {
+            core::EstimatorSpec estimator = s.estimator;
+            estimator.domain_size = domain_size;
+            SKIMJOIN_ASSIGN_OR_RETURN(
+                std::unique_ptr<core::JoinEstimatorPair> pair,
+                core::CreateJoinEstimatorPair(estimator, seed));
+            return MakeNode<JoinSynopsis>(std::move(pair));
+          },
+          [&](const FrequencyQuerySpec& s) -> Built {
+            if (s.num_tables < 1 || s.space_counters < s.num_tables) {
+              return InvalidArgumentError(
+                  "frequency query needs 1 <= num_tables <= space_counters");
+            }
+            core::SkimmedSketchConfig config;
+            config.domain_size = domain_size;
+            config.num_tables = s.num_tables;
+            config.use_dyadic_skim = s.use_dyadic;
+            if (s.use_dyadic) {
+              config.num_buckets = std::max<uint64_t>(
+                  1, s.space_counters / (2 * s.num_tables));
+              uint64_t levels = 0;
+              while ((uint64_t{1} << levels) < config.domain_size) ++levels;
+              config.dyadic_num_buckets = std::max<uint64_t>(
+                  1, s.space_counters / (2 * s.num_tables * levels));
+            } else {
+              config.num_buckets =
+                  std::max<uint64_t>(1, s.space_counters / s.num_tables);
+            }
+            SKIMJOIN_ASSIGN_OR_RETURN(
+                core::SkimmedSketch sketch,
+                core::SkimmedSketch::Create(config, seed));
+            return MakeNode<FrequencySynopsis>(std::move(sketch));
+          },
+          [&](const DistinctCountQuerySpec& s) -> Built {
+            SKIMJOIN_ASSIGN_OR_RETURN(
+                sketch::FmSketch sketch,
+                sketch::FmSketch::Create(s.num_maps, seed));
+            return MakeNode<DistinctSynopsis>(std::move(sketch));
+          },
+          [&](const TopKQuerySpec& s) -> Built {
+            if (s.num_tables < 1 || s.space_counters < s.num_tables) {
+              return InvalidArgumentError(
+                  "top-k query needs 1 <= num_tables <= space_counters");
+            }
+            sketch::HashSketchConfig config;
+            config.num_tables = s.num_tables;
+            config.num_buckets =
+                std::max<uint64_t>(1, s.space_counters / s.num_tables);
+            SKIMJOIN_ASSIGN_OR_RETURN(
+                core::TopKTracker tracker,
+                core::TopKTracker::Create(s.k, config, seed));
+            return MakeNode<TopKSynopsis>(std::move(tracker));
+          },
+          [&](const QuantileQuerySpec& s) -> Built {
+            SKIMJOIN_ASSIGN_OR_RETURN(
+                stream::GkQuantileSummary summary,
+                stream::GkQuantileSummary::Create(s.epsilon));
+            return MakeNode<QuantileSynopsis>(std::move(summary));
+          },
+          [&](const RangeSumQuerySpec& s) -> Built {
+            if (s.coefficient_budget < 1) {
+              return InvalidArgumentError("coefficient_budget must be >= 1");
+            }
+            SKIMJOIN_ASSIGN_OR_RETURN(
+                stream::WaveletSynopsis synopsis,
+                stream::WaveletSynopsis::Create(domain_size));
+            return MakeNode<RangeSumSynopsis>(std::move(synopsis),
+                                                      s.coefficient_budget);
+          },
+          [&](const ChainJoinQuerySpec& s) -> Built {
+            return BuildChain(s, seed);
+          },
+      },
+      spec);
+}
+
+Status JoinSynopsis::MergeFrom(const Synopsis& other) {
+  const auto* piece = dynamic_cast<const JoinSynopsis*>(&other);
+  if (piece == nullptr) return MergeMismatch("join");
+  return pair_->MergeFrom(*piece->pair_);
+}
+
 Status FrequencySynopsis::UpdateBatch(
     size_t, std::span<const stream::StreamElement> elements) {
+  SKIMJOIN_CHECK(options_ != nullptr)
+      << "frequency synopsis fed before an engine subscribed it";
   if (elements.size() == 1) {
     // One element (the scalar Update path) is not worth a replica round
     // trip or a worker hand-off. Under a live concurrent ingestor it joins
@@ -69,6 +207,22 @@ Status FrequencySynopsis::RestoreFrom(std::istream& in) {
   const sketch::KernelOptions kernels = sketch_.kernel_options();
   sketch_ = std::move(restored);
   SetKernelOptions(kernels);
+  return OkStatus();
+}
+
+Status FrequencySynopsis::MergeFrom(const Synopsis& other) {
+  const auto* piece = dynamic_cast<const FrequencySynopsis*>(&other);
+  if (piece == nullptr) return MergeMismatch("frequency");
+  if (!piece->sketch_.CompatibleWith(sketch_)) {
+    return InvalidArgumentError(
+        "frequency sketches disagree on configuration or seed");
+  }
+  // A live concurrent ingestor propagates into the sketch under its
+  // writer lock; merge under it too.
+  std::optional<ingest::ConcurrentIngestor<core::SkimmedSketch>::WriteLock>
+      lock;
+  if (concurrent_ != nullptr) lock.emplace(concurrent_->WriterLock());
+  sketch_.Merge(piece->sketch_);
   return OkStatus();
 }
 
@@ -166,7 +320,29 @@ Status RangeSumSynopsis::RestoreFrom(std::istream& in) {
   return OkStatus();
 }
 
-Status ChainJoinSynopsis::UpdateTuple(uint64_t relation,
+Status ChainJoinSynopsis::RestoreFrom(std::istream& in) {
+  // A fresh node's counters are all zero, so merging the record in leaves
+  // exactly the record's state, behind MergeFrom's config-and-seed check.
+  if (grid_.has_value()) {
+    SKIMJOIN_ASSIGN_OR_RETURN(MultiJoinEstimator restored,
+                              MultiJoinEstimator::DeserializeFrom(in));
+    return grid_->MergeFrom(restored);
+  }
+  SKIMJOIN_ASSIGN_OR_RETURN(MultiJoinHashEstimator restored,
+                            MultiJoinHashEstimator::DeserializeFrom(in));
+  return hashed_->MergeFrom(restored);
+}
+
+Status ChainJoinSynopsis::MergeFrom(const Synopsis& other) {
+  const auto* piece = dynamic_cast<const ChainJoinSynopsis*>(&other);
+  if (piece == nullptr || piece->grid_.has_value() != grid_.has_value()) {
+    return MergeMismatch("chain-join");
+  }
+  return grid_.has_value() ? grid_->MergeFrom(*piece->grid_)
+                           : hashed_->MergeFrom(*piece->hashed_);
+}
+
+Status ChainJoinSynopsis::UpdateTuple(const std::string& relation,
                                       const std::vector<uint64_t>& attributes,
                                       int64_t weight) {
   for (size_t position = 0; position < chain_.size(); ++position) {

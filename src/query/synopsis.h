@@ -1,9 +1,11 @@
 // The synopsis node behind every standing query (DESIGN.md §7, "Engine
 // state"). The engine keeps one table of queries; each entry owns exactly
 // one Synopsis, and every path that touches query state — the ingest
-// fan-out, the memory gauges, the health report, wire pulls and
-// checkpoints — talks to it through this one interface. Answer paths
-// downcast to the concrete node of the query kind they serve.
+// fan-out, the memory gauges, the health report, wire pulls, checkpoints
+// and the fleet coordinator's merge — talks to it through this one
+// interface. Answer paths downcast to the concrete node of the query kind
+// they serve. BuildSynopsis makes a node from a query's spec alone, so the
+// engine and the coordinator build the same node for the same spec.
 
 #ifndef SKIMJOIN_QUERY_SYNOPSIS_H_
 #define SKIMJOIN_QUERY_SYNOPSIS_H_
@@ -15,6 +17,7 @@
 #include <optional>
 #include <ostream>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/join_estimators.h"
@@ -116,12 +119,28 @@ class Synopsis {
     return UnimplementedError("this query's synopsis cannot be restored");
   }
 
+  /// Adds `other`'s state counter for counter: every mergeable synopsis is
+  /// linear, so merging shard synopses gives exactly the synopsis one node
+  /// fed every shard's elements would hold. INVALID_ARGUMENT when `other`
+  /// is another kind or disagrees in shape or seed. Default: UNIMPLEMENTED.
+  virtual Status MergeFrom(const Synopsis&) {
+    return UnimplementedError("this query's synopsis cannot be merged");
+  }
+
   /// Read-only counter probes for the health report. Default: none.
   virtual std::vector<SynopsisHealth> HealthProbe() const { return {}; }
 
  protected:
   Synopsis() = default;
 };
+
+/// Builds the node of a query with `spec`, its randomness derived from
+/// `seed`, over the value domain [0, domain_size) of its streams (chain
+/// joins have none and ignore it). The node is fresh: all counters zero.
+/// INVALID_ARGUMENT for an inconsistent spec.
+StatusOr<std::unique_ptr<Synopsis>> BuildSynopsis(const QuerySpec& spec,
+                                                  uint64_t seed,
+                                                  uint64_t domain_size);
 
 /// A join or self-join: the estimator pair, F fed by side 0, G by side 1.
 class JoinSynopsis final : public Synopsis {
@@ -142,6 +161,7 @@ class JoinSynopsis final : public Synopsis {
   Status RestoreFrom(std::istream& in) override {
     return pair_->RestoreFrom(in);
   }
+  Status MergeFrom(const Synopsis& other) override;
   std::vector<SynopsisHealth> HealthProbe() const override {
     return pair_->HealthProbe();
   }
@@ -161,11 +181,18 @@ class FrequencySynopsis final : public Synopsis {
   using ReadLock =
       ingest::ConcurrentIngestor<core::SkimmedSketch>::ReadLock;
 
-  /// `options` is the engine's live ingest configuration and `counters`
-  /// the subscribed stream's instruments; both outlive the node.
-  FrequencySynopsis(core::SkimmedSketch sketch, const IngestOptions* options,
-                    const StreamCounters& counters)
-      : sketch_(std::move(sketch)), options_(options), counters_(counters) {}
+  explicit FrequencySynopsis(core::SkimmedSketch sketch)
+      : sketch_(std::move(sketch)) {}
+
+  /// Wires the node into an engine that subscribed it: `options` is the
+  /// engine's live ingest configuration and `counters` the stream's
+  /// instruments, both outliving the node. Only a subscribed node ingests;
+  /// one built to merge shard records never needs either.
+  void Subscribe(const IngestOptions* options,
+                 const StreamCounters& counters) {
+    options_ = options;
+    counters_ = counters;
+  }
 
   Status UpdateBatch(size_t side,
                      std::span<const stream::StreamElement> elements) override;
@@ -177,6 +204,7 @@ class FrequencySynopsis final : public Synopsis {
     return sketch_.SerializeTo(out);
   }
   Status RestoreFrom(std::istream& in) override;
+  Status MergeFrom(const Synopsis& other) override;
   std::vector<SynopsisHealth> HealthProbe() const override;
 
   /// Read only under ReaderLock.
@@ -217,7 +245,7 @@ class FrequencySynopsis final : public Synopsis {
 
  private:
   core::SkimmedSketch sketch_;
-  const IngestOptions* options_;
+  const IngestOptions* options_ = nullptr;  // set by Subscribe
   StreamCounters counters_;
   std::optional<ingest::ParallelIngestor<core::SkimmedSketch>> ingestor_;
   mutable uint64_t cache_hits_seen_ = 0;
@@ -324,14 +352,14 @@ class RangeSumSynopsis final : public Synopsis {
 };
 
 /// A chain join over relations: one of the two multi-join estimators plus
-/// the relation ids in chain order. It subscribes to no stream; tuples
+/// the relation names in chain order. It subscribes to no stream; tuples
 /// arrive through UpdateTuple.
 class ChainJoinSynopsis final : public Synopsis {
  public:
   using Spec = ChainJoinQuerySpec;
   ChainJoinSynopsis(std::optional<MultiJoinEstimator> grid,
                     std::optional<MultiJoinHashEstimator> hashed,
-                    std::vector<uint64_t> chain)
+                    std::vector<std::string> chain)
       : grid_(std::move(grid)),
         hashed_(std::move(hashed)),
         chain_(std::move(chain)) {}
@@ -347,9 +375,11 @@ class ChainJoinSynopsis final : public Synopsis {
     return grid_.has_value() ? grid_->SerializeTo(out)
                              : hashed_->SerializeTo(out);
   }
+  Status RestoreFrom(std::istream& in) override;
+  Status MergeFrom(const Synopsis& other) override;
 
   /// Feeds one tuple of `relation` to every chain position it occupies.
-  Status UpdateTuple(uint64_t relation,
+  Status UpdateTuple(const std::string& relation,
                      const std::vector<uint64_t>& attributes, int64_t weight);
 
   double Estimate() const {
@@ -363,7 +393,7 @@ class ChainJoinSynopsis final : public Synopsis {
  private:
   std::optional<MultiJoinEstimator> grid_;
   std::optional<MultiJoinHashEstimator> hashed_;
-  std::vector<uint64_t> chain_;
+  std::vector<std::string> chain_;
 };
 
 }  // namespace query

@@ -6,11 +6,16 @@
 // a restored engine must answer every query bit-identically to an engine
 // that never stopped.
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <optional>
 #include <set>
+#include <sstream>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -584,6 +589,193 @@ TEST(CheckpointEquivalenceTest, RestoredEngineAnswersBitIdentically) {
   // The sampling-join and chain sections differ (their state was lost), but
   // the manifests are identical.
   EXPECT_EQ(live_bytes.substr(0, 200), restored_bytes.substr(0, 200));
+}
+
+// --- the query-spec codec ---------------------------------------------------
+
+// One spec of every alternative, with predicates, SUM inputs, both chain
+// methods and doubles that have no short decimal spelling.
+std::vector<QuerySpec> EverySpec() {
+  JoinQuerySpec join;
+  join.left_stream = "left side";  // percent-encoded on the way out
+  join.right_stream = "right%";
+  join.estimator.kind = core::EstimatorKind::kSkimmedSketch;
+  join.estimator.space_counters = 4096;
+  join.estimator.num_tables = 5;
+  join.estimator.threshold_scale = 0.1;
+  join.estimator.recurse_slack = 1.0 / 3.0;
+  join.estimator.skim_margin = 0.2;
+  join.estimator.skimmed_use_dyadic = true;
+  join.left_input = AggregateInput::kMeasure;
+  join.left_predicate = RangePredicate{3, 900};
+  join.right_predicate = RangePredicate{0, UINT64_MAX};
+  FrequencyQuerySpec frequency;
+  frequency.stream = "f";
+  frequency.use_dyadic = false;
+  frequency.predicate = RangePredicate{7, 7};
+  DistinctCountQuerySpec distinct;
+  distinct.stream = "d";
+  distinct.num_maps = 48;
+  TopKQuerySpec topk;
+  topk.stream = "t";
+  topk.k = 3;
+  topk.predicate = RangePredicate{1, 2};
+  QuantileQuerySpec quantile;
+  quantile.stream = "q";
+  quantile.epsilon = 1.0 / 3.0;
+  RangeSumQuerySpec range_sum;
+  range_sum.stream = "r";
+  range_sum.coefficient_budget = 17;
+  ChainJoinQuerySpec grid;
+  grid.relations = {"a", "b", "c", "d"};
+  grid.method = ChainJoinQuerySpec::Method::kAgmsGrid;
+  grid.num_means = 12;
+  ChainJoinQuerySpec hashed;
+  hashed.relations = {"a", "c"};
+  hashed.num_buckets = 32;
+  return {join, frequency, distinct, topk, quantile, range_sum, grid, hashed};
+}
+
+std::string Encode(const QuerySpec& spec) {
+  std::ostringstream out;
+  WriteQuerySpec(out, spec);
+  return out.str();
+}
+
+TEST(QuerySpecCodecTest, EveryAlternativeRoundTripsBitExactly) {
+  const std::vector<QuerySpec> specs = EverySpec();
+  std::set<size_t> kinds;
+  for (const QuerySpec& spec : specs) {
+    kinds.insert(spec.index());
+    std::istringstream in(Encode(spec));
+    const StatusOr<QuerySpec> decoded = ReadQuerySpec(in, QueryKindName(spec));
+    ASSERT_TRUE(decoded.ok()) << decoded.status() << " in " << Encode(spec);
+    std::string rest;
+    EXPECT_FALSE(in >> rest) << "unread: " << rest;
+    ASSERT_EQ(decoded->index(), spec.index());
+    EXPECT_EQ(Encode(*decoded), Encode(spec));
+  }
+  EXPECT_EQ(kinds.size(), std::variant_size_v<QuerySpec>);
+
+  // Field by field where the text could hide a difference: the doubles bit
+  // for bit, the names byte for byte.
+  std::istringstream join_in(Encode(specs[0]));
+  const StatusOr<QuerySpec> join = ReadQuerySpec(join_in, "join");
+  ASSERT_TRUE(join.ok()) << join.status();
+  const JoinQuerySpec& got = std::get<JoinQuerySpec>(*join);
+  const JoinQuerySpec& want = std::get<JoinQuerySpec>(specs[0]);
+  EXPECT_EQ(got.left_stream, want.left_stream);
+  EXPECT_EQ(got.right_stream, want.right_stream);
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.estimator.threshold_scale),
+            std::bit_cast<uint64_t>(want.estimator.threshold_scale));
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.estimator.recurse_slack),
+            std::bit_cast<uint64_t>(want.estimator.recurse_slack));
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.estimator.skim_margin),
+            std::bit_cast<uint64_t>(want.estimator.skim_margin));
+  EXPECT_EQ(got.left_input, AggregateInput::kMeasure);
+  EXPECT_EQ(got.right_input, AggregateInput::kCount);
+  EXPECT_EQ(got.left_predicate->lo, 3u);
+  EXPECT_EQ(got.right_predicate->hi, UINT64_MAX);
+  std::istringstream quantile_in(Encode(specs[4]));
+  const StatusOr<QuerySpec> quantile = ReadQuerySpec(quantile_in, "quantile");
+  ASSERT_TRUE(quantile.ok()) << quantile.status();
+  EXPECT_EQ(std::bit_cast<uint64_t>(
+                std::get<QuantileQuerySpec>(*quantile).epsilon),
+            std::bit_cast<uint64_t>(1.0 / 3.0));
+
+  std::istringstream unknown_in("x 1");
+  EXPECT_FALSE(ReadQuerySpec(unknown_in, "nosuchkind").ok());
+  std::istringstream truncated_in("f 4096 7");
+  EXPECT_FALSE(ReadQuerySpec(truncated_in, "frequency").ok());
+}
+
+// The queries block of a manifest for an engine holding every kind, as the
+// format has always spelled it: moving the codec must not move a byte.
+TEST(QuerySpecCodecTest, ManifestQueriesBlockIsUnchanged) {
+  Engine engine;
+  BuildFullEngine(&engine);
+  JoinQuerySpec sum_join = std::get<JoinQuerySpec>(EverySpec()[0]);
+  sum_join.left_stream = "left";
+  sum_join.right_stream = "right";
+  ASSERT_TRUE(engine.AddJoinQuery(sum_join, 31).ok());
+  ChainJoinQuerySpec grid = std::get<ChainJoinQuerySpec>(EverySpec()[6]);
+  grid.relations = {"r0", "r1", "r2"};
+  ASSERT_TRUE(engine.AddChainJoinQuery(grid, 32).ok());
+  const std::string path = TempPath("golden");
+  ASSERT_TRUE(engine.SaveCheckpoint(path).ok());
+
+  StatusOr<util::DurableFileReader> reader =
+      util::DurableFileReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  StatusOr<std::optional<util::DurableSection>> manifest = reader->Next();
+  ASSERT_TRUE(manifest.ok() && manifest->has_value());
+  const std::string& text = (*manifest)->payload;
+  const size_t begin = text.find("queries ");
+  const size_t end = text.find("metrics ");
+  ASSERT_NE(begin, std::string::npos);
+  ASSERT_NE(end, std::string::npos);
+  EXPECT_EQ(text.substr(begin, end - begin),
+            "queries 14\n"
+            "1 join 21 1 left right skimmed 512 5 7 2 0.5 0 0 0 0"
+            " pred 0 1019 nopred\n"
+            "2 join 21 1 left right agms 512 5 7 2 0.5 0 0 0 0"
+            " pred 0 1019 nopred\n"
+            "3 join 21 1 left right hashsketch 512 5 7 2 0.5 0 0 0 0"
+            " pred 0 1019 nopred\n"
+            "4 join 21 1 left right countmin 512 5 7 2 0.5 0 0 0 0"
+            " pred 0 1019 nopred\n"
+            "5 join 21 0 left right sampling 512 5 7 2 0.5 0 0 0 0"
+            " pred 0 1019 nopred\n"
+            "6 join 22 1 left left skimmed 512 5 7 2 0.5 0 0 0 0"
+            " nopred nopred\n"
+            "7 frequency 23 1 left 1024 4 1 nopred\n"
+            "8 distinct 24 1 right 32 nopred\n"
+            "9 topk 25 1 left 8 256 4 nopred\n"
+            "10 quantile 0 1 right 0.02 pred 1 1023\n"
+            "11 rangesum 0 1 left 64 nopred\n"
+            "12 chain 26 0 3 r0 r1 r2 hashsketch 64 5 5 64\n"
+            "13 join 31 1 left right skimmed 4096 5 5 0.10000000000000001"
+            " 0.33333333333333331 0.20000000000000001 1 1 0"
+            " pred 3 900 pred 0 18446744073709551615\n"
+            "14 chain 32 0 3 r0 r1 r2 agmsgrid 12 5 5 64\n");
+}
+
+// Manifests spell the skim knobs in decimal, which has no inf or NaN:
+// such a join is refused at registration, while a huge finite knob
+// registers, answers and survives a checkpoint round trip.
+TEST(CheckpointTest, SkimKnobsMustBeFiniteToRoundTrip) {
+  Engine engine;
+  ASSERT_TRUE(engine.RegisterStream({"f", kDomain}).ok());
+  ASSERT_TRUE(engine.RegisterStream({"g", kDomain}).ok());
+  JoinQuerySpec spec;
+  spec.left_stream = "f";
+  spec.right_stream = "g";
+  spec.estimator.space_counters = 512;
+  for (const double bad : {std::nan(""), HUGE_VAL}) {
+    for (core::EstimatorKind kind :
+         {core::EstimatorKind::kSkimmedSketch, core::EstimatorKind::kAgms}) {
+      JoinQuerySpec refused = spec;
+      refused.estimator.kind = kind;
+      refused.estimator.threshold_scale = bad;
+      EXPECT_FALSE(engine.AddJoinQuery(refused, 3).ok()) << bad;
+    }
+  }
+  spec.estimator.threshold_scale = 1e300;
+  const StatusOr<QueryId> id = engine.AddJoinQuery(spec, 3);
+  ASSERT_TRUE(id.ok()) << id.status();
+  for (uint64_t v = 0; v < 200; ++v) {
+    SKIMJOIN_CHECK_OK(engine.Update("f", {.value = v % 50, .count = 3}));
+    SKIMJOIN_CHECK_OK(engine.Update("g", {.value = v % 40}));
+  }
+  const StatusOr<double> answer = engine.AnswerJoin(*id);
+  ASSERT_TRUE(answer.ok()) << answer.status();
+
+  const std::string path = TempPath("knobs");
+  ASSERT_TRUE(engine.SaveCheckpoint(path).ok());
+  Engine restored;
+  const StatusOr<RestoreReport> report = restored.RestoreCheckpoint(path);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(*restored.AnswerJoin(*id), *answer);
 }
 
 // The v2 manifest carries a counters-only metrics block: cumulative ingest

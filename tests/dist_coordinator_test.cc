@@ -2,8 +2,9 @@
 // its own thread over a real Unix socket): merged answers are bit-identical
 // to a single local engine, RPCs stay inside their deadline + retry budget
 // when a shard is unreachable, chaos-injected frame corruption is retried
-// through, a dead shard degrades answers to flagged partials, and a worker
-// restarted from its checkpoint is re-adopted without double-merging.
+// through, a dead shard degrades answers to flagged partials, a worker
+// restarted from its checkpoint is re-adopted without double-merging, and
+// a registration the workers refused is never replayed to them.
 
 #include "dist/coordinator.h"
 
@@ -128,6 +129,18 @@ TEST(CoordinatorTest, MergedAnswersAreBitIdenticalToLocalEngine) {
       engine.AddJoinQuery(SkimmedJoinSpec(), kSeed);
   ASSERT_TRUE(local_join.ok()) << local_join.status();
 
+  query::SelfJoinQuerySpec self_join;
+  self_join.stream = "g";
+  self_join.estimator.kind = core::EstimatorKind::kSkimmedSketch;
+  self_join.estimator.space_counters = 1024;
+  self_join.estimator.skimmed_use_dyadic = true;
+  StatusOr<query::QueryId> dist_self =
+      coordinator.AddSelfJoinQuery(self_join, kSeed + 2);
+  ASSERT_TRUE(dist_self.ok()) << dist_self.status();
+  StatusOr<query::QueryId> local_self =
+      engine.AddSelfJoinQuery(self_join, kSeed + 2);
+  ASSERT_TRUE(local_self.ok()) << local_self.status();
+
   query::FrequencyQuerySpec freq;
   freq.stream = "f";
   freq.space_counters = 512;
@@ -152,6 +165,12 @@ TEST(CoordinatorTest, MergedAnswersAreBitIdenticalToLocalEngine) {
   // Bit-identical, not approximately equal: merging shard synopses by
   // linearity reconstructs the exact counters a single engine builds.
   EXPECT_EQ(*local_answer, *dist_answer);
+
+  StatusOr<double> dist_self_answer = coordinator.AnswerJoin(*dist_self);
+  StatusOr<double> local_self_answer = engine.AnswerJoin(*local_self);
+  ASSERT_TRUE(dist_self_answer.ok()) << dist_self_answer.status();
+  ASSERT_TRUE(local_self_answer.ok()) << local_self_answer.status();
+  EXPECT_EQ(*local_self_answer, *dist_self_answer);
 
   for (const uint64_t value : {f_updates[0].value, f_updates[1].value,
                                f_updates[2].value, uint64_t{4000}}) {
@@ -332,6 +351,56 @@ TEST(CoordinatorTest, RestartedWorkerIsReadoptedWithoutDoubleMerge) {
   ASSERT_TRUE(coordinator.UpdateBatch("f", Workload(3, 100)).ok());
   StatusOr<double> moved = coordinator.AnswerJoin(*join);
   ASSERT_TRUE(moved.ok()) << moved.status();
+}
+
+TEST(CoordinatorTest, RejectedRegistrationIsNotReplayedAfterRestart) {
+  const std::string dir = ::testing::TempDir();
+  WorkerOptions worker_options;
+  worker_options.socket_path = dir + "/coord_reject_replay.sock";
+  worker_options.shard_name = "s0";
+  worker_options.checkpoint_path = dir + "/coord_reject_replay.ckpt";
+  ::unlink(worker_options.checkpoint_path.c_str());
+  WorkerHarness worker(worker_options);
+  Coordinator coordinator({{"s0", worker_options.socket_path}},
+                          FastOptions());
+  query::Engine engine;
+  for (const char* stream : {"f", "g"}) {
+    ASSERT_TRUE(coordinator.RegisterStream({stream, 1u << 12}).ok());
+    ASSERT_TRUE(engine.RegisterStream({stream, 1u << 12}).ok());
+  }
+  ASSERT_TRUE(coordinator.CheckpointShards().ok());
+
+  // The worker refuses a sampling join: its synopsis cannot be merged.
+  query::JoinQuerySpec sampling = SkimmedJoinSpec();
+  sampling.estimator.kind = core::EstimatorKind::kSampling;
+  const StatusOr<query::QueryId> refused =
+      coordinator.AddJoinQuery(sampling, 7);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_NE(refused.status().message().find("not distributable"),
+            std::string::npos)
+      << refused.status();
+
+  StatusOr<query::QueryId> join =
+      coordinator.AddJoinQuery(SkimmedJoinSpec(), 7);
+  ASSERT_TRUE(join.ok()) << join.status();
+  StatusOr<query::QueryId> local = engine.AddJoinQuery(SkimmedJoinSpec(), 7);
+  ASSERT_TRUE(local.ok()) << local.status();
+
+  // The restarted worker holds only the streams; the handshake must replay
+  // the valid join and nothing the worker refused before.
+  worker.Restart();
+  for (const char* stream : {"f", "g"}) {
+    const std::vector<query::StreamUpdate> updates =
+        Workload(stream[0], 300);
+    const Status sent = coordinator.UpdateBatch(stream, updates);
+    ASSERT_TRUE(sent.ok()) << sent;
+    ASSERT_TRUE(engine.UpdateBatch(stream, updates).ok());
+  }
+  StatusOr<EstimateReport> report = coordinator.AnswerJoinWithReport(*join);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_FALSE(report->partial);
+  EXPECT_EQ(*engine.AnswerJoin(*local), report->estimate);
+  EXPECT_GT(coordinator.ShardStatuses()[0].incarnation, 1u);
 }
 
 TEST(CoordinatorTest, ChainJoinMergedAnswerIsBitIdenticalToLocalEngine) {

@@ -1,13 +1,14 @@
-// Codec tests for the fleet-telemetry protocol messages (dist/protocol):
-// exact round trips for every new payload type, the HelloReply trace-clock
-// token's backward compatibility, and decoder hardening — declared counts
-// are validated before allocation and mangled payloads return a Status,
-// never crash.
+// Codec tests for the fleet protocol messages (dist/protocol): exact round
+// trips for the query registration and every telemetry payload, the
+// HelloReply trace-clock token's backward compatibility, and decoder
+// hardening — declared counts are validated before allocation and mangled
+// payloads return a Status, never crash.
 
 #include "dist/protocol.h"
 
 #include <cmath>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -72,27 +73,48 @@ TEST(RelationCodec, RegAndUpdateRoundTrip) {
   EXPECT_EQ(update2->tuples[1].weight, -5);
 }
 
-TEST(ChainQueryCodec, RoundTripsEstimatorShape) {
-  ChainQueryReg reg;
-  reg.query_name = "q7";
-  reg.relations = {"r1", "r2", "r3"};
-  reg.method = 1;
-  reg.num_means = 64;
-  reg.num_medians = 5;
-  reg.num_tables = 5;
-  reg.num_buckets = 128;
-  reg.seed = 0xdeadbeef;
-  StatusOr<ChainQueryReg> decoded =
-      DecodeChainQueryReg(EncodeChainQueryReg(reg));
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_EQ(decoded->query_name, "q7");
-  EXPECT_EQ(decoded->relations, reg.relations);
-  EXPECT_EQ(decoded->method, 1u);
-  EXPECT_EQ(decoded->num_means, 64u);
-  EXPECT_EQ(decoded->num_medians, 5u);
-  EXPECT_EQ(decoded->num_tables, 5u);
-  EXPECT_EQ(decoded->num_buckets, 128u);
-  EXPECT_EQ(decoded->seed, 0xdeadbeefu);
+TEST(QueryRegCodec, RoundTripsEveryDistributableKind) {
+  query::JoinQuerySpec self_join;  // a self-join travels as left == right
+  self_join.left_stream = self_join.right_stream = "f";
+  self_join.estimator.kind = core::EstimatorKind::kSkimmedSketch;
+  self_join.estimator.space_counters = 2048;
+  self_join.estimator.threshold_scale = 0.1;
+  self_join.estimator.recurse_slack = 1.0 / 3.0;
+  self_join.estimator.skimmed_use_dyadic = true;
+  query::FrequencyQuerySpec frequency;
+  frequency.stream = "g";
+  frequency.space_counters = 512;
+  frequency.use_dyadic = false;
+  query::ChainJoinQuerySpec chain;
+  chain.relations = {"r1", "r2", "r3"};
+  chain.method = query::ChainJoinQuerySpec::Method::kAgmsGrid;
+  chain.num_means = 16;
+
+  for (const query::QuerySpec& spec :
+       {query::QuerySpec(self_join), query::QuerySpec(frequency),
+        query::QuerySpec(chain)}) {
+    const std::string wire = EncodeQueryReg({"q7", 0xdeadbeef, spec});
+    StatusOr<QueryReg> decoded = DecodeQueryReg(wire);
+    ASSERT_TRUE(decoded.ok()) << decoded.status() << " in " << wire;
+    EXPECT_EQ(decoded->query_name, "q7");
+    EXPECT_EQ(decoded->seed, 0xdeadbeefu);
+    EXPECT_EQ(decoded->spec.index(), spec.index());
+    // The spec record is the checkpoint codec's: it re-encodes identically.
+    EXPECT_EQ(EncodeQueryReg(*decoded), wire);
+  }
+  const StatusOr<QueryReg> join =
+      DecodeQueryReg(EncodeQueryReg({"q1", 5, self_join}));
+  ASSERT_TRUE(join.ok()) << join.status();
+  const auto& estimator =
+      std::get<query::JoinQuerySpec>(join->spec).estimator;
+  EXPECT_EQ(estimator.threshold_scale, 0.1);
+  EXPECT_EQ(estimator.recurse_slack, 1.0 / 3.0);
+  EXPECT_TRUE(estimator.skimmed_use_dyadic);
+  EXPECT_EQ(std::get<query::JoinQuerySpec>(join->spec).right_stream, "f");
+
+  EXPECT_FALSE(DecodeQueryReg("q1 5 nosuchkind f 1").ok());
+  EXPECT_FALSE(
+      DecodeQueryReg(EncodeQueryReg({"q1", 5, frequency}) + " extra").ok());
 }
 
 TEST(MetricsSnapshotCodec, RoundTripsEverySection) {
@@ -288,13 +310,20 @@ TEST(TelemetryCodecHardening, DecodersSurviveEveryTruncation) {
   span.category = "c";
   span.trace_id = 1;
   trace.events.push_back(span);
+  query::ChainJoinQuerySpec chain;
+  chain.relations = {"r1", "r2"};
+  query::JoinQuerySpec join;
+  join.left_stream = "f";
+  join.right_stream = "g";
+  join.left_predicate = query::RangePredicate{1, 9};
 
   const std::vector<std::string> payloads = {
       EncodeMetricsSnapshot(registry.TakeSnapshot()),
       EncodeEventBatch(batch),
       EncodeTraceEvents(trace),
       EncodeRelationUpdate({"r", 2, {{{1, 2}, 1}}}),
-      EncodeChainQueryReg({"q", {"r1", "r2"}, 0, 8, 3, 3, 16, 5}),
+      EncodeQueryReg({"q", 5, chain}),
+      EncodeQueryReg({"q", 5, join}),
       EncodeHealthReport(
           {{{query::HealthFinding::Severity::kWarn, "s", "r", "m", ""}}}),
   };
@@ -307,7 +336,7 @@ TEST(TelemetryCodecHardening, DecodersSurviveEveryTruncation) {
       (void)DecodeEventBatch(prefix);
       (void)DecodeTraceEvents(prefix);
       (void)DecodeRelationUpdate(prefix);
-      (void)DecodeChainQueryReg(prefix);
+      (void)DecodeQueryReg(prefix);
       (void)DecodeHealthReport(prefix);
     }
   }

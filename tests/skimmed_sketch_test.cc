@@ -120,6 +120,36 @@ TEST(SkimmedSketchTest, SkimThresholdScalesWithStreamMass) {
   EXPECT_GT(large.SkimThreshold(), small.SkimThreshold());
 }
 
+TEST(SkimmedSketchTest, ThresholdScaleMustBeFiniteAndSaturates) {
+  for (const double scale : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    SkimmedSketchConfig config = BaseConfig();
+    config.threshold_scale = scale;
+    EXPECT_FALSE(SkimmedSketch::Create(config, 5).ok()) << scale;
+  }
+  // A threshold floor past the saturation point would overflow once a
+  // dyadic skim scales it by its slack.
+  SkimmedSketchConfig floor = BaseConfig();
+  floor.min_threshold = INT64_MAX;
+  EXPECT_FALSE(SkimmedSketch::Create(floor, 5).ok());
+  // A finite but huge scale is valid; its threshold saturates instead of
+  // overflowing the int64 cast, so nothing is dense and the estimate is
+  // the plain residual one.
+  SkimmedSketchConfig config = BaseConfig();
+  config.use_dyadic_skim = true;
+  config.recurse_slack = 1.0;
+  config.threshold_scale = 1e300;
+  SkimmedSketch f = MustCreate(config, 5);
+  SkimmedSketch g = MustCreate(config, 5);
+  for (uint64_t v = 0; v < 100; ++v) {
+    f.Update(v, 1000);
+    g.Update(v, 1000);
+  }
+  EXPECT_EQ(f.SkimThreshold(), int64_t{1} << 62);
+  const StatusOr<double> join = SkimmedSketch::EstimateJoinSize(f, g);
+  ASSERT_TRUE(join.ok()) << join.status();
+  EXPECT_TRUE(std::isfinite(*join));
+}
+
 TEST(SkimmedSketchTest, BreakdownComponentsSumToEstimate) {
   constexpr uint64_t kDomain = 1u << 10;
   const FrequencyVector f =
