@@ -17,7 +17,6 @@
 #include "core/skimmed_sketch.h"
 #include "hashing/simd_hash.h"
 #include "ingest/concurrent_ingestor.h"
-#include "ingest/parallel_ingestor.h"
 #include "query/engine.h"
 #include "sketch/agms_sketch.h"
 #include "sketch/count_min_sketch.h"
@@ -198,17 +197,19 @@ BENCHMARK(BM_SkimmedSketchBatchIngest)
     ->Arg(65536)
     ->Unit(benchmark::kMillisecond);
 
-// Threaded mode: range(0) shards, replica-merge via linearity. The result
-// is bit-identical to the sequential runs above; speedup tracks physical
-// cores (a 1-core host shows none, by construction).
+// Synchronous sharded mode: range(0) workers absorb the stream into
+// private replicas and the Flush ending IngestBatch merges them back via
+// linearity. The result is bit-identical to the sequential runs above;
+// speedup tracks physical cores (a 1-core host shows none, by
+// construction).
 void BM_SkimmedSketchParallelIngest(benchmark::State& state) {
   const auto shards = static_cast<uint64_t>(state.range(0));
   auto master = *core::SkimmedSketch::Create(IngestBenchConfig(), 1);
-  auto ingestor =
-      *ingest::ParallelIngestor<core::SkimmedSketch>::Create(master, shards);
+  auto ingestor = *ingest::ConcurrentIngestor<core::SkimmedSketch>::Create(
+      &master, ingest::SynchronousIngestOptions(shards));
   const auto& stream = ZipfStream10M();
   for (auto _ : state) {
-    ingestor.IngestInto(&master, stream);
+    ingestor->IngestBatch(stream);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(stream.size()));

@@ -1,5 +1,6 @@
 #include "core/dyadic_skim.h"
 
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -15,14 +16,6 @@ namespace core {
 
 namespace {
 
-bool IsPowerOfTwo(uint64_t x) { return x != 0 && (x & (x - 1)) == 0; }
-
-uint64_t Log2(uint64_t x) {
-  uint64_t log = 0;
-  while ((uint64_t{1} << log) < x) ++log;
-  return log;
-}
-
 uint64_t LevelSeed(uint64_t seed, uint64_t level) {
   return Mix64(seed ^
                Mix64(static_cast<uint64_t>(sketch::FamilyTag::kDyadicLevel) *
@@ -33,12 +26,17 @@ uint64_t LevelSeed(uint64_t seed, uint64_t level) {
 }  // namespace
 
 DyadicSkimmer::DyadicSkimmer(uint64_t domain_size, std::vector<Level> levels)
-    : domain_size_(domain_size), levels_(std::move(levels)) {}
+    : domain_size_(domain_size), levels_(std::move(levels)) {
+  // Level sketches are built with full-size plan caches; clamp them now,
+  // so every skimmer — created or deserialized — starts at the footprint
+  // SetKernelOptions keeps.
+  SetKernelOptions(sketch::KernelOptions{});
+}
 
 StatusOr<DyadicSkimmer> DyadicSkimmer::Create(
     uint64_t domain_size, const sketch::HashSketchConfig& upper_config,
     uint64_t seed) {
-  if (!IsPowerOfTwo(domain_size) || domain_size < 2) {
+  if (!std::has_single_bit(domain_size) || domain_size < 2) {
     return InvalidArgumentError(
         "dyadic skimming requires a power-of-two domain size >= 2");
   }
@@ -46,7 +44,7 @@ StatusOr<DyadicSkimmer> DyadicSkimmer::Create(
     return InvalidArgumentError(
         "dyadic level config requires num_tables >= 1 and num_buckets >= 1");
   }
-  const uint64_t num_levels = Log2(domain_size);
+  const uint64_t num_levels = std::bit_width(domain_size - 1);
   std::vector<Level> levels;
   levels.reserve(num_levels);
   for (uint64_t l = 1; l <= num_levels; ++l) {
@@ -240,10 +238,11 @@ StatusOr<DyadicSkimmer> DyadicSkimmer::DeserializeFrom(std::istream& in) {
     return InvalidArgumentError("not a skimjoin dyadic-skimmer v3 record");
   }
   uint64_t domain_size = 0;
-  if (!(in >> domain_size) || !IsPowerOfTwo(domain_size) || domain_size < 2) {
+  if (!(in >> domain_size) || !std::has_single_bit(domain_size) ||
+      domain_size < 2) {
     return InvalidArgumentError("malformed dyadic-skimmer header");
   }
-  const uint64_t num_levels = Log2(domain_size);
+  const uint64_t num_levels = std::bit_width(domain_size - 1);
   std::vector<Level> levels;
   levels.reserve(num_levels);
   for (uint64_t l = 1; l <= num_levels; ++l) {

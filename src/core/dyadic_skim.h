@@ -62,6 +62,8 @@ class DyadicSkimmer {
 
   /// Propagates fast-path kernel selection to every sketched level
   /// (DESIGN.md §10); exact levels have no hashes and are unaffected.
+  /// Each level's plan cache is clamped to its prefix count, here and at
+  /// construction.
   void SetKernelOptions(const sketch::KernelOptions& options);
 
   /// Plan-cache tallies summed over the sketched levels.

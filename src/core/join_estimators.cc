@@ -10,6 +10,7 @@
 #include "sketch/count_min_sketch.h"
 #include "sketch/hash_sketch.h"
 #include "sketch/reservoir_sample.h"
+#include "sketch/serial_limits.h"
 #include "util/logging.h"
 
 namespace skimjoin {
@@ -292,6 +293,10 @@ StatusOr<std::unique_ptr<JoinEstimatorPair>> CreateJoinEstimatorPair(
   if (spec.space_counters < 1) {
     return InvalidArgumentError("EstimatorSpec.space_counters must be >= 1");
   }
+  // Every sketch and the reservoir hold at most space_counters counters
+  // (the dyadic skimmed levels check their extra on top in ForSpace).
+  SKIMJOIN_RETURN_IF_ERROR(
+      sketch::CheckSpecCounters({{spec.space_counters}}, "join estimator"));
   // Checkpoints and fleet registrations carry the skimmed knobs as decimal
   // text, which has no spelling for inf or NaN: every method's must be
   // finite, even where it goes unused.
@@ -326,33 +331,14 @@ StatusOr<std::unique_ptr<JoinEstimatorPair>> CreateJoinEstimatorPair(
           sketch::HashSketch::Create(config, seed));
     }
     case EstimatorKind::kSkimmedSketch: {
-      if (spec.num_tables < 1 || spec.space_counters < spec.num_tables) {
-        return InvalidArgumentError(
-            "skimmed-sketch spec needs 1 <= num_tables <= space_counters");
-      }
-      SkimmedSketchConfig config;
-      config.domain_size = spec.domain_size;
-      config.num_tables = spec.num_tables;
+      SKIMJOIN_ASSIGN_OR_RETURN(
+          SkimmedSketchConfig config,
+          SkimmedSketchConfig::ForSpace(spec.domain_size, spec.num_tables,
+                                        spec.space_counters,
+                                        spec.skimmed_use_dyadic));
       config.threshold_scale = spec.threshold_scale;
       config.recurse_slack = spec.recurse_slack;
       config.skim_margin = spec.skim_margin;
-      config.use_dyadic_skim = spec.skimmed_use_dyadic;
-      if (spec.skimmed_use_dyadic) {
-        // Split the budget: half to level 0, half across the log2(m)
-        // auxiliary levels (at least one bucket each).
-        uint64_t levels = 0;
-        while ((spec.domain_size >> (levels + 1)) >= 1 &&
-               (uint64_t{1} << levels) < spec.domain_size) {
-          ++levels;
-        }
-        config.num_buckets =
-            std::max<uint64_t>(1, spec.space_counters / (2 * spec.num_tables));
-        config.dyadic_num_buckets = std::max<uint64_t>(
-            1, spec.space_counters / (2 * spec.num_tables * levels));
-      } else {
-        config.num_buckets =
-            std::max<uint64_t>(1, spec.space_counters / spec.num_tables);
-      }
       return MakePair<SkimmedPair>(
           SkimmedSketch::Create(config, seed),
           SkimmedSketch::Create(config, seed));

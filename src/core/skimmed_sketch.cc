@@ -1,6 +1,7 @@
 #include "core/skimmed_sketch.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -16,8 +17,6 @@ namespace core {
 
 namespace {
 
-bool IsPowerOfTwo(uint64_t x) { return x != 0 && (x & (x - 1)) == 0; }
-
 // The largest skim threshold: at 2^62 no estimate is dense, and callers
 // can still scale a threshold by a slack <= 1 without leaving int64.
 constexpr int64_t kMaxThreshold = int64_t{1} << 62;
@@ -28,7 +27,7 @@ Status ValidateConfig(const SkimmedSketchConfig& config) {
   if (config.domain_size < 2) {
     return InvalidArgumentError("SkimmedSketchConfig.domain_size must be >= 2");
   }
-  if (config.use_dyadic_skim && !IsPowerOfTwo(config.domain_size)) {
+  if (config.use_dyadic_skim && !std::has_single_bit(config.domain_size)) {
     return InvalidArgumentError(
         "dyadic skimming requires a power-of-two domain size");
   }
@@ -65,6 +64,37 @@ SkimmedSketch::SkimmedSketch(const SkimmedSketchConfig& config, uint64_t seed,
       seed_(seed),
       level0_(std::move(level0)),
       dyadic_(std::move(dyadic)) {}
+
+StatusOr<SkimmedSketchConfig> SkimmedSketchConfig::ForSpace(
+    uint64_t domain_size, uint64_t num_tables, uint64_t space_counters,
+    bool use_dyadic) {
+  if (num_tables < 1 || space_counters < num_tables) {
+    return InvalidArgumentError(
+        "skimmed sketch needs 1 <= num_tables <= space_counters");
+  }
+  SkimmedSketchConfig config;
+  config.domain_size = domain_size;
+  config.num_tables = num_tables;
+  config.use_dyadic_skim = use_dyadic;
+  if (!use_dyadic) {
+    config.num_buckets = std::max<uint64_t>(1, space_counters / num_tables);
+    SKIMJOIN_RETURN_IF_ERROR(sketch::CheckSpecCounters(
+        {{num_tables, config.num_buckets}}, "skimmed sketch"));
+    return config;
+  }
+  // Chained divisions: s / 2 / t / L is s / (2·t·L) without the product,
+  // which wraps for absurd table counts.
+  const uint64_t levels =
+      std::max<uint64_t>(1, std::bit_width(domain_size - 1));
+  config.num_buckets = std::max<uint64_t>(1, space_counters / 2 / num_tables);
+  config.dyadic_num_buckets =
+      std::max<uint64_t>(1, space_counters / 2 / num_tables / levels);
+  SKIMJOIN_RETURN_IF_ERROR(sketch::CheckSpecCounters(
+      {{num_tables, config.num_buckets},
+       {levels, num_tables, config.dyadic_num_buckets}},
+      "skimmed sketch"));
+  return config;
+}
 
 StatusOr<SkimmedSketch> SkimmedSketch::Create(const SkimmedSketchConfig& config,
                                               uint64_t seed) {

@@ -80,6 +80,18 @@ struct SkimmedSketchConfig {
   /// (the Theorem 4 variant) at the cost of extra residual mass. 0 (the
   /// default) skims the full estimate, exactly as in Fig. 3.
   double skim_margin = 0.0;
+
+  /// The shape a budget of `space_counters` counters buys over
+  /// `domain_size` with `num_tables` level-0 tables: every counter on
+  /// level 0, or with `use_dyadic` half there and half spread over the
+  /// log2(domain_size) dyadic levels (at least one bucket each). Other
+  /// fields keep their defaults. INVALID_ARGUMENT unless
+  /// 1 <= num_tables <= space_counters, or when the sketch would hold more
+  /// counters than sketch::MaxDeserializeCounters().
+  static StatusOr<SkimmedSketchConfig> ForSpace(uint64_t domain_size,
+                                                uint64_t num_tables,
+                                                uint64_t space_counters,
+                                                bool use_dyadic);
 };
 
 /// Per-subjoin breakdown of one join-size estimate, for diagnostics,

@@ -27,8 +27,8 @@
 //   * The cache holds DERIVED state only (plans are a pure function of the
 //     hash families), so it is excluded from serialization, Merge,
 //     CompatibleWith, and Reset: a counter reset does not invalidate plans.
-//   * Single-writer, like the sketches that own it. Each ParallelIngestor
-//     replica owns its own cache.
+//   * Single-writer, like the sketches that own it. Each ingest replica
+//     (ingest/concurrent_ingestor.h) owns its own cache.
 //   * hits()/misses() feed the `ingest.<stream>.hash_cache_{hits,misses}`
 //     engine metrics (docs/OBSERVABILITY.md).
 

@@ -1,21 +1,22 @@
-// Truly concurrent ingestion with bounded-staleness reads.
+// Sharded ingestion for linear synopses, synchronous or with
+// bounded-staleness reads.
 //
-// ParallelIngestor parallelizes WITHIN a batch but still runs
-// absorb → barrier → merge as one synchronous pipeline: readers and the
-// writer take strict turns on the master synopsis. This ingestor removes
-// the turn-taking, adapting the relaxed-consistency concurrent sketches of
-// Rinberg & Keidar (PODC '20) to exact linear synopses:
+// Every sketch in this library is a linear projection of the frequency
+// vector, so splitting a batch across private replicas and adding the
+// replicas back together is exact: Merge IS counter addition, and integer
+// addition commutes and associates. This ingestor adapts the
+// relaxed-consistency concurrent sketches of Rinberg & Keidar (PODC '20)
+// to exact linear synopses:
 //
 //   * Each worker owns a private replica synopsis. AbsorbBatch chunks the
-//     batch across workers and returns WITHOUT waiting — ingestion truly
+//     batch across workers and returns WITHOUT waiting — ingestion
 //     overlaps the caller and any concurrent readers.
 //   * Workers fold elements into their replica lock-free (it is theirs
 //     alone) and periodically PROPAGATE: take the shared synopsis's writer
 //     lock, Merge the replica in, zero it, and advance the epoch counter.
-//     Because Merge is plain counter addition (linearity), the shared state
-//     after any prefix of propagations equals a sequential ingest of
-//     exactly the propagated elements — relaxation costs staleness, never
-//     accuracy.
+//     The shared state after any prefix of propagations equals a
+//     sequential ingest of exactly the propagated elements — relaxation
+//     costs staleness, never accuracy.
 //   * Readers take a shared (reader) lock and see a CONSISTENT snapshot:
 //     whole replicas enter atomically under the writer lock, so a reader
 //     can never observe half a propagation (the bounded-staleness
@@ -24,23 +25,25 @@
 //     `propagation_interval_elements`, and once the global un-propagated
 //     backlog exceeds `max_lag_elements` a worker escalates from
 //     try_lock (contention-shy) to a blocking writer lock.
-//   * Flush() is the exact linearization point retained from the
-//     join-then-merge design: barrier the pool, then merge every replica
-//     under one writer lock. Afterwards the shared synopsis is
-//     counter-for-counter identical to a sequential ingest of everything
-//     ever submitted, and epoch_lag() == 0.
+//   * Flush() is the exact linearization point: barrier the pool, then
+//     merge every replica under one writer lock. Afterwards the shared
+//     synopsis is counter-for-counter identical to a sequential ingest of
+//     everything ever submitted, and epoch_lag() == 0.
 //
-// NUMA: replicas are CONSTRUCTED on their worker threads (first-touch
-// places counter pages on the worker's node) and Options::pin_threads
-// keeps each worker — hence its replica pages — on one CPU. Single-socket
-// machines see only the harmless affinity hint.
+// Synchronous sharding (IngestBatch) is AbsorbBatch immediately followed
+// by Flush, minus the copy: the batch is in the shared synopsis when the
+// call returns and no worker runs between calls, so readers then need no
+// lock at all.
+//
+// Replicas are copies of the shared synopsis, zeroed, built on the thread
+// that calls Create.
 //
 // Concurrency contract:
-//   * One driving thread calls AbsorbBatch / Flush / stats-mutating calls.
+//   * One driving thread calls AbsorbBatch / IngestBatch / Flush.
 //   * Any number of threads may hold ReaderLock() and read shared()
 //     concurrently with ingestion.
 //   * The shared synopsis must not be mutated except through this ingestor
-//     while the ingestor is live (the engine routes its scalar Update path
+//     while the ingestor is live (the engine routes its inline updates
 //     through the same writer lock for exactly this reason).
 
 #ifndef SKIMJOIN_INGEST_CONCURRENT_INGESTOR_H_
@@ -48,16 +51,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <span>
 #include <utility>
 #include <vector>
 
-#include "ingest/ingest_stats.h"
 #include "ingest/worker_pool.h"
 #include "stream/stream_element.h"
 #include "util/metrics.h"
@@ -65,6 +67,37 @@
 
 namespace skimjoin {
 namespace ingest {
+
+/// Running totals for one ingestor (or one engine stream, whose
+/// `ingest.<stream>.*` counters Engine::StreamIngestStats reads back).
+/// Plain counters — callers that share a pipeline across threads must
+/// serialize access, matching the single-writer model documented in
+/// DESIGN.md.
+struct IngestStats {
+  /// Stream elements absorbed into replicas / synopses.
+  uint64_t elements_absorbed = 0;
+  /// Batches accepted (AbsorbBatch / UpdateBatch calls).
+  uint64_t batches = 0;
+  /// Elements dropped before any synopsis saw them (out-of-domain values).
+  uint64_t elements_dropped = 0;
+  /// Replica-merge flushes performed.
+  uint64_t merges = 0;
+  /// Driver wall time handing batches to workers and waiting for them.
+  uint64_t absorb_nanos = 0;
+  /// Wall time spent merging replicas into the master synopsis.
+  uint64_t merge_nanos = 0;
+  /// Hash plan-cache probes that hit / missed across the stream's
+  /// frequency-query synopses (inline ingest path; sharded replicas keep
+  /// their caches worker-local). Zero when the cache kernel is disabled.
+  uint64_t hash_cache_hits = 0;
+  uint64_t hash_cache_misses = 0;
+};
+
+/// Below this many elements per chunk, fan-out stops paying for the task,
+/// copy and merge overhead: AbsorbBatch collapses the batch onto fewer
+/// workers, and a synchronous caller folds a batch smaller than two chunks
+/// in inline.
+inline constexpr uint64_t kMinChunkElements = 1024;
 
 /// Tuning knobs for one ConcurrentIngestor.
 struct ConcurrentIngestOptions {
@@ -77,13 +110,20 @@ struct ConcurrentIngestOptions {
   /// this, the next worker to notice propagates with a BLOCKING writer
   /// lock instead of politely skipping on contention.
   uint64_t max_lag_elements = 1 << 20;
-  /// Pin workers (and their first-touch replica pages) to CPUs.
-  bool pin_threads = false;
 };
 
-/// Relaxed-consistency concurrent ingestor over any linear synopsis.
-/// `Synopsis` needs the same surface as ParallelIngestor's: copyable,
-/// UpdateBatch(span), Reset(), Merge(const Synopsis&).
+/// Options for synchronous use (IngestBatch): workers never propagate on
+/// their own, so the Flush ending each batch does every merge.
+inline ConcurrentIngestOptions SynchronousIngestOptions(uint64_t num_workers) {
+  return {.num_workers = num_workers,
+          .propagation_interval_elements = UINT64_MAX,
+          .max_lag_elements = UINT64_MAX};
+}
+
+/// Replica-and-merge ingestor over any linear synopsis. `Synopsis` must be
+/// copyable and provide UpdateBatch(span<const StreamElement>), Reset(),
+/// and Merge(const Synopsis&) — HashSketch, AgmsSketch, CountMinSketch,
+/// and SkimmedSketch all qualify.
 ///
 /// Heap-only (std::shared_mutex pins the address); use Create.
 template <typename Synopsis>
@@ -92,9 +132,8 @@ class ConcurrentIngestor {
   using ReadLock = std::shared_lock<std::shared_mutex>;
   using WriteLock = std::unique_lock<std::shared_mutex>;
 
-  /// Builds workers and their replicas. Replica construction happens ON
-  /// each worker thread (NUMA first-touch). `shared` must outlive the
-  /// ingestor and is the synopsis readers query.
+  /// Builds workers and their replicas. `shared` must outlive the ingestor
+  /// and is the synopsis readers query.
   static StatusOr<std::unique_ptr<ConcurrentIngestor>> Create(
       Synopsis* shared, ConcurrentIngestOptions options = {}) {
     if (shared == nullptr) {
@@ -109,19 +148,8 @@ class ConcurrentIngestor {
       return InvalidArgumentError(
           "propagation_interval_elements must be >= 1");
     }
-    auto ingestor = std::unique_ptr<ConcurrentIngestor>(
+    return std::unique_ptr<ConcurrentIngestor>(
         new ConcurrentIngestor(shared, options));
-    // First-touch: each worker constructs (and zeroes) its own replica, so
-    // the counter pages are resident on the worker's NUMA node.
-    for (uint64_t w = 0; w < options.num_workers; ++w) {
-      ingestor->pool_->Submit(w, [state = ingestor->workers_[w].get(),
-                                  prototype = shared] {
-        state->replica.emplace(*prototype);
-        state->replica->Reset();
-      });
-    }
-    ingestor->pool_->Barrier();
-    return ingestor;
   }
 
   /// Flushes outstanding work so the shared synopsis ends exact, then
@@ -136,54 +164,44 @@ class ConcurrentIngestor {
   /// these elements to readers lags by at most max_lag_elements (plus one
   /// in-flight chunk per worker).
   void AbsorbBatch(std::span<const stream::StreamElement> elements) {
-    if (elements.empty()) return;
-    stats_.batches += 1;
-    stats_.elements_absorbed += elements.size();
-    submitted_elements_.fetch_add(elements.size(), std::memory_order_relaxed);
+    Dispatch(elements, /*borrow=*/false);
+  }
 
-    const uint64_t workers = workers_.size();
-    // Round-robin contiguous chunks; small batches go whole to one worker
-    // (rotating so a stream of small batches still uses every worker).
-    uint64_t shards = workers;
-    while (shards > 1 && elements.size() / shards < kMinChunkElements) {
-      --shards;
-    }
-    const uint64_t chunk = elements.size() / shards;
-    for (uint64_t s = 0; s < shards; ++s) {
-      const uint64_t begin = s * chunk;
-      const uint64_t end = (s + 1 == shards) ? elements.size() : begin + chunk;
-      const uint64_t w = (next_worker_ + s) % workers;
-      pool_->Submit(
-          w, [this, state = workers_[w].get(),
-              copy = std::vector<stream::StreamElement>(
-                  elements.begin() + static_cast<ptrdiff_t>(begin),
-                  elements.begin() + static_cast<ptrdiff_t>(end))] {
-            state->replica->UpdateBatch(copy);
-            state->pending += copy.size();
-            MaybePropagate(state);
-          });
-    }
-    next_worker_ = (next_worker_ + shards) % workers;
+  /// Synchronous sharding: AbsorbBatch then Flush, except that the workers
+  /// read their chunks of `elements` in place instead of copies — Flush
+  /// waits for every task, so the caller's span outlives them. Afterwards
+  /// shared() includes the batch.
+  void IngestBatch(std::span<const stream::StreamElement> elements) {
+    Dispatch(elements, /*borrow=*/true);
+    Flush();
   }
 
   /// Exact linearization point: waits for every in-flight chunk, then
   /// merges all replicas under one writer lock. Afterwards shared() equals
   /// a sequential ingest of everything submitted and epoch_lag() == 0.
+  /// The wait counts toward stats().absorb_nanos, the merge toward
+  /// merge_nanos.
   void Flush() {
-    metrics::TraceSpan span("concurrent_flush", "ingest");
+    metrics::TraceSpan span("replica_merge", "ingest");
+    const auto start = std::chrono::steady_clock::now();
     pool_->Barrier();
+    const auto merge_start = std::chrono::steady_clock::now();
+    stats_.absorb_nanos += Elapsed(start, merge_start);
     stats_.merges += 1;
     WriteLock lock(mu_);
     for (const std::unique_ptr<WorkerState>& state : workers_) {
       PropagateLocked(state.get());
     }
-    // Same saturating drop accounting as ParallelIngestor::FlushInto, but
-    // against the cumulative total since propagations happen continuously.
+    // Drops counted inside replicas were never truly absorbed. A replica
+    // can carry drops this ingestor never counted as absorbed (a synopsis
+    // whose Reset keeps its drop counter), so saturate instead of
+    // underflowing the unsigned absorbed counter to ~2^64.
     const uint64_t dropped = dropped_elements_.load(std::memory_order_relaxed);
     const uint64_t newly_dropped = dropped - stats_.elements_dropped;
     stats_.elements_dropped = dropped;
     stats_.elements_absorbed -=
         std::min(newly_dropped, stats_.elements_absorbed);
+    stats_.merge_nanos += Elapsed(merge_start);
   }
 
   /// Shared (reader) lock over the shared synopsis. Hold it across the
@@ -191,7 +209,7 @@ class ConcurrentIngestor {
   ReadLock ReaderLock() const { return ReadLock(mu_); }
 
   /// Writer lock for callers that must mutate the shared synopsis directly
-  /// (the engine's scalar Update path, Clear). Excludes propagations and
+  /// (the engine's inline updates and merges). Excludes propagations and
   /// readers.
   WriteLock WriterLock() const { return WriteLock(mu_); }
 
@@ -212,18 +230,11 @@ class ConcurrentIngestor {
   /// Monotone count of completed propagations (replica → shared merges).
   uint64_t epoch() const { return epoch_.load(std::memory_order_relaxed); }
 
-  uint64_t num_workers() const { return workers_.size(); }
-  uint64_t pinned_workers() const { return pool_->pinned_workers(); }
   const IngestStats& stats() const { return stats_; }
-
-  /// Below this many elements per chunk, fan-out stops paying for the
-  /// task + copy overhead and the batch collapses onto fewer workers.
-  static constexpr uint64_t kMinChunkElements = 1024;
 
  private:
   struct WorkerState {
-    /// Deferred-constructed so it can be built on the worker thread.
-    std::optional<Synopsis> replica;
+    Synopsis replica;
     /// Elements folded into `replica` since its last propagation. Written
     /// by the owning worker and, under the writer lock, by Flush.
     uint64_t pending = 0;
@@ -233,10 +244,55 @@ class ConcurrentIngestor {
       : shared_(shared), options_(options) {
     workers_.reserve(options.num_workers);
     for (uint64_t w = 0; w < options.num_workers; ++w) {
-      workers_.push_back(std::make_unique<WorkerState>());
+      workers_.push_back(std::make_unique<WorkerState>(WorkerState{*shared}));
+      workers_.back()->replica.Reset();
     }
-    pool_ = std::make_unique<WorkerPool>(
-        options.num_workers, WorkerPool::Options{options.pin_threads});
+    pool_ = std::make_unique<WorkerPool>(options.num_workers);
+  }
+
+  /// Round-robin contiguous chunks to the workers (a small batch whole to
+  /// one, rotating); with `borrow` the tasks read the caller's elements.
+  void Dispatch(std::span<const stream::StreamElement> elements,
+                bool borrow) {
+    if (elements.empty()) return;
+    const auto start = std::chrono::steady_clock::now();
+    stats_.batches += 1;
+    stats_.elements_absorbed += elements.size();
+    submitted_elements_.fetch_add(elements.size(), std::memory_order_relaxed);
+
+    const uint64_t workers = workers_.size();
+    uint64_t shards = workers;
+    while (shards > 1 && elements.size() / shards < kMinChunkElements) {
+      --shards;
+    }
+    const uint64_t chunk = elements.size() / shards;
+    for (uint64_t s = 0; s < shards; ++s) {
+      const uint64_t begin = s * chunk;
+      const uint64_t end = (s + 1 == shards) ? elements.size() : begin + chunk;
+      const std::span<const stream::StreamElement> slice =
+          elements.subspan(begin, end - begin);
+      std::vector<stream::StreamElement> copy;
+      if (!borrow) copy.assign(slice.begin(), slice.end());
+      const uint64_t w = (next_worker_ + s) % workers;
+      pool_->Submit(w, [this, state = workers_[w].get(), slice,
+                        copy = std::move(copy)] {
+        const std::span<const stream::StreamElement> batch =
+            copy.empty() ? slice : std::span<const stream::StreamElement>(copy);
+        state->replica.UpdateBatch(batch);
+        state->pending += batch.size();
+        MaybePropagate(state);
+      });
+    }
+    next_worker_ = (next_worker_ + shards) % workers;
+    stats_.absorb_nanos += Elapsed(start);
+  }
+
+  static uint64_t Elapsed(std::chrono::steady_clock::time_point start,
+                          std::chrono::steady_clock::time_point end =
+                              std::chrono::steady_clock::now()) {
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
+            .count());
   }
 
   /// Worker-side propagation policy: volunteer at the interval, insist
@@ -260,13 +316,11 @@ class ConcurrentIngestor {
   void PropagateLocked(WorkerState* state) {
     if (state->pending == 0) return;
     if constexpr (requires(const Synopsis& s) { s.dropped_updates(); }) {
-      // Same saturating drop accounting as ParallelIngestor::FlushInto:
-      // drops counted inside the replica were never truly absorbed.
-      const uint64_t dropped = state->replica->dropped_updates();
-      dropped_elements_.fetch_add(dropped, std::memory_order_relaxed);
+      dropped_elements_.fetch_add(state->replica.dropped_updates(),
+                                  std::memory_order_relaxed);
     }
-    shared_->Merge(*state->replica);
-    state->replica->Reset();
+    shared_->Merge(state->replica);
+    state->replica.Reset();
     propagated_elements_.fetch_add(state->pending, std::memory_order_relaxed);
     state->pending = 0;
     epoch_.fetch_add(1, std::memory_order_relaxed);

@@ -152,7 +152,8 @@ void Engine::InitStreamMetrics(StreamState* state) {
   metrics_.SetHelp(prefix + "merges",
                    "Sharded-ingest and concurrent-flush merge rounds.");
   metrics_.SetHelp(prefix + "absorb_nanos",
-                   "Nanoseconds worker shards spent absorbing batches.");
+                   "Nanoseconds the ingest driver spent handing batches to "
+                   "worker shards and waiting for them.");
   metrics_.SetHelp(prefix + "merge_nanos",
                    "Nanoseconds spent merging shard replicas back.");
   metrics_.SetHelp(prefix + "hash_cache_hits",

@@ -29,7 +29,7 @@
 
 #include "core/join_estimators.h"
 #include "core/skimmed_sketch.h"
-#include "ingest/ingest_stats.h"
+#include "ingest/concurrent_ingestor.h"
 #include "query/checkpoint.h"
 #include "query/query.h"
 #include "query/query_cache.h"
@@ -120,14 +120,15 @@ struct StreamUpdate {
 
 /// The engine. Single-writer: ONE thread drives registration and ingestion
 /// (Update / UpdateBatch) at a time. UpdateBatch may internally fan a batch
-/// out across shard worker threads (see SetIngestOptions), but those workers
-/// live only inside the call — externally the engine remains a single-writer
-/// structure, per the single-pass stream model and DESIGN.md's "Threading &
-/// ingestion model". With IngestOptions.concurrent on (DESIGN.md §13) the
-/// workers are persistent and outlive UpdateBatch; registration and
-/// ingestion stay single-writer, while point-frequency and heavy-hitter
-/// ANSWERS may run on the writer thread concurrently with in-flight
-/// ingestion and observe bounded-staleness snapshots until FlushIngest().
+/// out across shard worker threads (see SetIngestOptions), but by default
+/// it merges their work back before returning — externally the engine
+/// remains a single-writer structure, per the single-pass stream model and
+/// DESIGN.md's "Threading & ingestion model". With IngestOptions.concurrent
+/// on (DESIGN.md §13) the workers keep absorbing after UpdateBatch returns;
+/// registration and ingestion stay single-writer, while point-frequency and
+/// heavy-hitter ANSWERS may run on the writer thread concurrently with
+/// in-flight ingestion and observe bounded-staleness snapshots until
+/// FlushIngest().
 class Engine {
  public:
   Engine() = default;
@@ -216,8 +217,8 @@ class Engine {
   /// inline) and the concurrent mode's knobs. See query/synopsis.h.
   using IngestOptions = query::IngestOptions;
 
-  /// Reconfigures ingestion. Flushes and drops existing concurrent
-  /// ingestors first, so switching modes never loses elements.
+  /// Reconfigures ingestion. Flushes and drops existing ingestors first,
+  /// so switching modes never loses elements.
   /// INVALID_ARGUMENT for shards == 0 or a zero propagation interval.
   Status SetIngestOptions(const IngestOptions& options);
 
@@ -228,7 +229,8 @@ class Engine {
   /// Afterwards answers are exact (identical to sequential ingestion) and
   /// every `ingest.<stream>.epoch_lag` gauge reads 0. Cached answers of
   /// every flushed query are dropped, since they may come from a lagging
-  /// snapshot. No-op when concurrent mode is off.
+  /// snapshot. No-op when concurrent mode is off: synchronous ingest has
+  /// nothing pending, and no cached answer is dropped.
   void FlushIngest();
 
   /// Selects the sketch update fast paths (DESIGN.md §10) for every

@@ -5,6 +5,7 @@
 #include <utility>
 #include <variant>
 
+#include "sketch/serial_limits.h"
 #include "util/logging.h"
 
 namespace skimjoin {
@@ -27,21 +28,31 @@ StatusOr<std::unique_ptr<Synopsis>> BuildChain(const ChainJoinQuerySpec& spec,
   if (spec.relations.size() < 2) {
     return InvalidArgumentError("a chain join needs >= 2 relations");
   }
+  const uint64_t relations = spec.relations.size();
   std::optional<MultiJoinEstimator> grid;
   std::optional<MultiJoinHashEstimator> hashed;
   if (spec.method == ChainJoinQuerySpec::Method::kAgmsGrid) {
+    SKIMJOIN_RETURN_IF_ERROR(sketch::CheckSpecCounters(
+        {{relations, spec.num_means, spec.num_medians}}, "chain join"));
     MultiJoinConfig config;
     config.num_means = spec.num_means;
     config.num_medians = spec.num_medians;
     config.relation_attributes.push_back({0});
-    for (size_t r = 1; r + 1 < spec.relations.size(); ++r) {
+    for (size_t r = 1; r + 1 < relations; ++r) {
       config.relation_attributes.push_back({r - 1, r});
     }
-    config.relation_attributes.push_back({spec.relations.size() - 2});
+    config.relation_attributes.push_back({relations - 2});
     SKIMJOIN_ASSIGN_OR_RETURN(grid, MultiJoinEstimator::Create(config, seed));
   } else {
+    // The two end relations hold one bucket row per table, every middle
+    // relation a buckets² matrix.
+    SKIMJOIN_RETURN_IF_ERROR(sketch::CheckSpecCounters(
+        {{2, spec.num_tables, spec.num_buckets},
+         {relations - 2, spec.num_tables, spec.num_buckets,
+          spec.num_buckets}},
+        "chain join"));
     MultiJoinHashConfig config;
-    config.num_relations = spec.relations.size();
+    config.num_relations = relations;
     config.num_tables = spec.num_tables;
     config.num_buckets = spec.num_buckets;
     SKIMJOIN_ASSIGN_OR_RETURN(hashed,
@@ -68,31 +79,20 @@ StatusOr<std::unique_ptr<Synopsis>> BuildSynopsis(const QuerySpec& spec,
             return MakeNode<JoinSynopsis>(std::move(pair));
           },
           [&](const FrequencyQuerySpec& s) -> Built {
-            if (s.num_tables < 1 || s.space_counters < s.num_tables) {
-              return InvalidArgumentError(
-                  "frequency query needs 1 <= num_tables <= space_counters");
-            }
-            core::SkimmedSketchConfig config;
-            config.domain_size = domain_size;
-            config.num_tables = s.num_tables;
-            config.use_dyadic_skim = s.use_dyadic;
-            if (s.use_dyadic) {
-              config.num_buckets = std::max<uint64_t>(
-                  1, s.space_counters / (2 * s.num_tables));
-              uint64_t levels = 0;
-              while ((uint64_t{1} << levels) < config.domain_size) ++levels;
-              config.dyadic_num_buckets = std::max<uint64_t>(
-                  1, s.space_counters / (2 * s.num_tables * levels));
-            } else {
-              config.num_buckets =
-                  std::max<uint64_t>(1, s.space_counters / s.num_tables);
-            }
+            SKIMJOIN_ASSIGN_OR_RETURN(
+                const core::SkimmedSketchConfig config,
+                core::SkimmedSketchConfig::ForSpace(
+                    domain_size, s.num_tables, s.space_counters,
+                    s.use_dyadic));
             SKIMJOIN_ASSIGN_OR_RETURN(
                 core::SkimmedSketch sketch,
                 core::SkimmedSketch::Create(config, seed));
             return MakeNode<FrequencySynopsis>(std::move(sketch));
           },
           [&](const DistinctCountQuerySpec& s) -> Built {
+            SKIMJOIN_RETURN_IF_ERROR(sketch::CheckSpecCounters(
+                {{s.num_maps, sketch::FmSketch::kPositions}},
+                "distinct-count"));
             SKIMJOIN_ASSIGN_OR_RETURN(
                 sketch::FmSketch sketch,
                 sketch::FmSketch::Create(s.num_maps, seed));
@@ -107,6 +107,8 @@ StatusOr<std::unique_ptr<Synopsis>> BuildSynopsis(const QuerySpec& spec,
             config.num_tables = s.num_tables;
             config.num_buckets =
                 std::max<uint64_t>(1, s.space_counters / s.num_tables);
+            SKIMJOIN_RETURN_IF_ERROR(sketch::CheckSpecCounters(
+                {{config.num_tables, config.num_buckets}, {s.k}}, "top-k"));
             SKIMJOIN_ASSIGN_OR_RETURN(
                 core::TopKTracker tracker,
                 core::TopKTracker::Create(s.k, config, seed));
@@ -145,54 +147,67 @@ Status FrequencySynopsis::UpdateBatch(
     size_t, std::span<const stream::StreamElement> elements) {
   SKIMJOIN_CHECK(options_ != nullptr)
       << "frequency synopsis fed before an engine subscribed it";
-  if (elements.size() == 1) {
-    // One element (the scalar Update path) is not worth a replica round
-    // trip or a worker hand-off. Under a live concurrent ingestor it joins
-    // the writer lock instead of racing propagation.
-    std::optional<ingest::ConcurrentIngestor<core::SkimmedSketch>::WriteLock>
-        lock;
-    if (concurrent_ != nullptr) lock.emplace(concurrent_->WriterLock());
-    sketch_.Update(elements.front());
+  // Concurrent mode hands every batch but a single element (the scalar
+  // Update path) to the workers; synchronous sharding only a batch that
+  // fills two chunks — below that the replica round trip costs more than
+  // it saves.
+  const bool to_workers =
+      options_->concurrent
+          ? elements.size() > 1
+          : options_->shards > 1 &&
+                elements.size() >= 2 * ingest::kMinChunkElements;
+  if (!to_workers) {
+    // Under a live concurrent ingestor this joins the writer lock instead
+    // of racing propagation.
+    const Ingestor::WriteLock lock = WriterLock();
+    if (elements.size() == 1) {
+      sketch_.Update(elements.front());
+    } else {
+      sketch_.UpdateBatch(elements);
+      PublishHashCacheDeltas();
+    }
     return OkStatus();
   }
+  if (ingestor_ == nullptr) {
+    const ingest::ConcurrentIngestOptions ingest_options =
+        options_->concurrent
+            ? ingest::ConcurrentIngestOptions{
+                  .num_workers = options_->shards,
+                  .propagation_interval_elements =
+                      options_->propagation_interval_elements,
+                  .max_lag_elements = options_->max_lag_elements}
+            : ingest::SynchronousIngestOptions(options_->shards);
+    SKIMJOIN_ASSIGN_OR_RETURN(ingestor_,
+                              Ingestor::Create(&sketch_, ingest_options));
+  }
+  const ingest::IngestStats before = ingestor_->stats();
   if (options_->concurrent) {
-    // Relaxed-consistency path: hand chunks to the persistent workers and
-    // return without waiting. Staleness is bounded by the ingestor's
-    // propagation policy; Engine::FlushIngest is the linearization point.
-    if (concurrent_ == nullptr) {
-      ingest::ConcurrentIngestOptions concurrent_options;
-      concurrent_options.num_workers = options_->shards;
-      concurrent_options.propagation_interval_elements =
-          options_->propagation_interval_elements;
-      concurrent_options.max_lag_elements = options_->max_lag_elements;
-      concurrent_options.pin_threads = options_->pin_threads;
-      SKIMJOIN_ASSIGN_OR_RETURN(
-          concurrent_, ingest::ConcurrentIngestor<core::SkimmedSketch>::Create(
-                           &sketch_, concurrent_options));
-    }
-    concurrent_->AbsorbBatch(elements);
-    counters_.epoch_lag->Set(static_cast<double>(concurrent_->epoch_lag()));
-    return OkStatus();
+    // Return without waiting; Engine::FlushIngest is the linearization
+    // point.
+    ingestor_->AbsorbBatch(elements);
+    counters_.epoch_lag->Set(static_cast<double>(ingestor_->epoch_lag()));
+  } else {
+    ingestor_->IngestBatch(elements);
   }
-  if (options_->shards > 1) {
-    if (!ingestor_.has_value() || ingestor_->num_shards() != options_->shards) {
-      SKIMJOIN_ASSIGN_OR_RETURN(
-          ingestor_, ingest::ParallelIngestor<core::SkimmedSketch>::Create(
-                         sketch_, options_->shards));
-    }
-    const uint64_t absorb_before = ingestor_->stats().absorb_nanos;
-    const uint64_t merge_before = ingestor_->stats().merge_nanos;
-    ingestor_->IngestInto(&sketch_, elements);
-    counters_.merges->Increment();
-    counters_.absorb_nanos->Increment(ingestor_->stats().absorb_nanos -
-                                      absorb_before);
-    counters_.merge_nanos->Increment(ingestor_->stats().merge_nanos -
-                                     merge_before);
-    return OkStatus();
-  }
-  sketch_.UpdateBatch(elements);
-  PublishHashCacheDeltas();
+  PublishIngestStats(before);
   return OkStatus();
+}
+
+bool FrequencySynopsis::Flush() {
+  if (!Concurrent()) return false;
+  const ingest::IngestStats before = ingestor_->stats();
+  ingestor_->Flush();
+  PublishIngestStats(before);
+  counters_.epoch_lag->Set(0.0);
+  return true;
+}
+
+void FrequencySynopsis::PublishIngestStats(
+    const ingest::IngestStats& before) const {
+  const ingest::IngestStats& after = ingestor_->stats();
+  counters_.merges->Increment(after.merges - before.merges);
+  counters_.absorb_nanos->Increment(after.absorb_nanos - before.absorb_nanos);
+  counters_.merge_nanos->Increment(after.merge_nanos - before.merge_nanos);
 }
 
 Status FrequencySynopsis::RestoreFrom(std::istream& in) {
@@ -217,11 +232,9 @@ Status FrequencySynopsis::MergeFrom(const Synopsis& other) {
     return InvalidArgumentError(
         "frequency sketches disagree on configuration or seed");
   }
-  // A live concurrent ingestor propagates into the sketch under its
+  // Concurrent workers propagate into the sketch under the ingestor's
   // writer lock; merge under it too.
-  std::optional<ingest::ConcurrentIngestor<core::SkimmedSketch>::WriteLock>
-      lock;
-  if (concurrent_ != nullptr) lock.emplace(concurrent_->WriterLock());
+  const Ingestor::WriteLock lock = WriterLock();
   sketch_.Merge(piece->sketch_);
   return OkStatus();
 }

@@ -24,7 +24,6 @@
 #include "core/skimmed_sketch.h"
 #include "core/top_k.h"
 #include "ingest/concurrent_ingestor.h"
-#include "ingest/parallel_ingestor.h"
 #include "query/multi_join.h"
 #include "query/multi_join_hash.h"
 #include "query/query.h"
@@ -43,9 +42,9 @@ namespace query {
 /// Ingestion-concurrency configuration (DESIGN.md §13), set through
 /// Engine::SetIngestOptions and read by every frequency node.
 struct IngestOptions {
-  /// Worker threads per frequency-query synopsis. With `concurrent` off
-  /// this is the ParallelIngestor shard count (join-then-merge inside
-  /// each UpdateBatch); with it on, the ConcurrentIngestor worker count.
+  /// Worker threads (and replicas) per frequency-query synopsis. With
+  /// `concurrent` off, a batch of two ingest::kMinChunkElements chunks or
+  /// more is split across them and merged back before UpdateBatch returns.
   uint64_t shards = 1;
   /// Relaxed-consistency concurrent ingestion: UpdateBatch hands chunks
   /// to persistent workers and returns WITHOUT waiting; workers fold
@@ -60,8 +59,6 @@ struct IngestOptions {
   /// ingest::ConcurrentIngestOptions (ignored unless `concurrent`).
   uint64_t propagation_interval_elements = 1 << 16;
   uint64_t max_lag_elements = 1 << 20;
-  /// Pin ingest workers to CPUs (NUMA first-touch replica locality).
-  bool pin_threads = false;
 };
 
 /// A stream's registry-backed ingest instruments (`ingest.<name>.*`). The
@@ -173,13 +170,14 @@ class JoinSynopsis final : public Synopsis {
 };
 
 /// Point-frequency / heavy-hitter tracking: one skimmed sketch, ingested
-/// inline, through a ParallelIngestor (shards > 1), or through a
-/// ConcurrentIngestor (IngestOptions::concurrent).
+/// inline or through one ConcurrentIngestor — absorb then flush per batch
+/// when synchronous (shards > 1), absorb only under
+/// IngestOptions::concurrent.
 class FrequencySynopsis final : public Synopsis {
  public:
   using Spec = FrequencyQuerySpec;
-  using ReadLock =
-      ingest::ConcurrentIngestor<core::SkimmedSketch>::ReadLock;
+  using Ingestor = ingest::ConcurrentIngestor<core::SkimmedSketch>;
+  using ReadLock = Ingestor::ReadLock;
 
   explicit FrequencySynopsis(core::SkimmedSketch sketch)
       : sketch_(std::move(sketch)) {}
@@ -196,8 +194,8 @@ class FrequencySynopsis final : public Synopsis {
 
   Status UpdateBatch(size_t side,
                      std::span<const stream::StreamElement> elements) override;
-  /// Whole batches: the sharded and concurrent ingestors split a batch
-  /// across workers only when it is large enough.
+  /// Whole batches: the ingestor splits a batch across workers only when
+  /// it is large enough.
   size_t MaxBatch() const override { return SIZE_MAX; }
   uint64_t MemoryBytes() const override { return sketch_.MemoryBytes(); }
   Status SerializeTo(std::ostream& out) const override {
@@ -210,30 +208,24 @@ class FrequencySynopsis final : public Synopsis {
   /// Read only under ReaderLock.
   const core::SkimmedSketch& sketch() const { return sketch_; }
 
-  /// Reader lock over the sketch while a concurrent ingestor is live; a
-  /// no-op guard otherwise. Answers hold one across every sketch read so
-  /// they observe whole-epoch snapshots, never a mid-propagation state.
+  /// Reader lock over the sketch while concurrent workers may propagate
+  /// into it; a no-op guard otherwise (synchronous ingest finishes every
+  /// merge before UpdateBatch returns). Answers hold one across every
+  /// sketch read so they observe whole-epoch snapshots, never a
+  /// mid-propagation state.
   ReadLock ReaderLock() const {
-    return concurrent_ ? concurrent_->ReaderLock() : ReadLock();
+    return Concurrent() ? ingestor_->ReaderLock() : ReadLock();
   }
 
   /// Linearizes a live concurrent ingestor (counting the merge round and
-  /// zeroing the stream's epoch lag). False when none is live.
-  bool Flush() {
-    if (concurrent_ == nullptr) return false;
-    concurrent_->Flush();
-    counters_.merges->Increment();
-    counters_.epoch_lag->Set(0.0);
-    return true;
-  }
+  /// zeroing the stream's epoch lag). False when none is live: synchronous
+  /// ingest has nothing pending.
+  bool Flush();
 
-  /// Drops the ingestors built under the previous ingest configuration;
-  /// the next batch rebuilds them. A live concurrent ingestor folds its
-  /// pending elements in first.
-  void ResetIngest() {
-    concurrent_.reset();
-    ingestor_.reset();
-  }
+  /// Drops the ingestor built under the previous ingest configuration;
+  /// the next batch rebuilds it. A live ingestor folds its pending
+  /// elements in first.
+  void ResetIngest() { ingestor_.reset(); }
 
   /// Switches the sketch's kernels (rebuilding its plan caches) and
   /// restarts the plan-cache delta bookkeeping.
@@ -244,18 +236,29 @@ class FrequencySynopsis final : public Synopsis {
   void PublishHashCacheDeltas() const;
 
  private:
+  /// True while workers may propagate into the sketch between calls.
+  bool Concurrent() const {
+    return ingestor_ != nullptr && options_->concurrent;
+  }
+  /// Writer lock over the sketch for inline updates and merges while
+  /// Concurrent(); a no-op guard otherwise.
+  Ingestor::WriteLock WriterLock() const {
+    return Concurrent() ? ingestor_->WriterLock() : Ingestor::WriteLock();
+  }
+  /// Adds the ingestor's merge rounds and absorb/merge time since `before`
+  /// to the stream's counters.
+  void PublishIngestStats(const ingest::IngestStats& before) const;
+
   core::SkimmedSketch sketch_;
   const IngestOptions* options_ = nullptr;  // set by Subscribe
   StreamCounters counters_;
-  std::optional<ingest::ParallelIngestor<core::SkimmedSketch>> ingestor_;
   mutable uint64_t cache_hits_seen_ = 0;
   mutable uint64_t cache_misses_seen_ = 0;
-  // Built lazily on the first concurrent batch over &sketch_ (the node is
-  // heap-resident, so the address is stable). Declared after sketch_ so its
-  // destructor, which flushes pending work into the sketch, runs while the
-  // sketch is still alive.
-  std::unique_ptr<ingest::ConcurrentIngestor<core::SkimmedSketch>>
-      concurrent_;
+  // Built lazily on the first batch that needs workers, over &sketch_ (the
+  // node is heap-resident, so the address is stable). Declared after
+  // sketch_ so its destructor, which flushes pending work into the sketch,
+  // runs while the sketch is still alive.
+  std::unique_ptr<Ingestor> ingestor_;
 };
 
 /// COUNT DISTINCT: one Flajolet–Martin sketch.

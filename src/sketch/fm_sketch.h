@@ -51,6 +51,9 @@ class FmSketch {
   uint64_t num_maps() const { return num_maps_; }
   uint64_t seed() const { return seed_; }
 
+  /// Bit positions (counters) per map.
+  static constexpr uint64_t kPositions = 64;
+
   /// Space accounting: counters held.
   uint64_t TotalCounters() const { return num_maps_ * kPositions; }
 
@@ -71,8 +74,6 @@ class FmSketch {
   static StatusOr<FmSketch> DeserializeFrom(std::istream& in);
 
  private:
-  static constexpr uint64_t kPositions = 64;
-
   FmSketch(uint64_t num_maps, uint64_t seed);
 
   uint64_t num_maps_;

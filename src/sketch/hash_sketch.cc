@@ -147,7 +147,7 @@ void HashSketch::UpdateBatchBlocked(
       kernel_options_.batch_block_size < 1 ? 1
                                            : kernel_options_.batch_block_size);
   // Function-local thread_local scratch: zero allocations per batch, and
-  // each ParallelIngestor worker gets its own copy, so the sketch itself
+  // each ingest worker gets its own copy, so the sketch itself
   // stays cheaply copyable.
   static thread_local std::vector<uint32_t> plan_scratch;
   static thread_local std::vector<int64_t> weight_scratch;

@@ -40,5 +40,27 @@ Status CheckDeserializeDims(uint64_t rows, uint64_t cols, const char* what) {
   return OkStatus();
 }
 
+Status CheckSpecCounters(
+    std::initializer_list<std::initializer_list<uint64_t>> terms,
+    const char* what) {
+  uint64_t total = 0;
+  bool overflow = false;
+  for (const std::initializer_list<uint64_t>& term : terms) {
+    uint64_t product = 1;
+    for (const uint64_t factor : term) {
+      overflow |= __builtin_mul_overflow(product, factor, &product);
+    }
+    overflow |= __builtin_add_overflow(total, product, &total);
+  }
+  const uint64_t cap = MaxDeserializeCounters();
+  if (overflow || total > cap) {
+    return InvalidArgumentError(
+        std::string(what) + " spec asks for " +
+        (overflow ? std::string("more than 2^64") : std::to_string(total)) +
+        " counters, above the cap of " + std::to_string(cap));
+  }
+  return OkStatus();
+}
+
 }  // namespace sketch
 }  // namespace skimjoin

@@ -16,6 +16,7 @@
 #define SKIMJOIN_SKETCH_SERIAL_LIMITS_H_
 
 #include <cstdint>
+#include <initializer_list>
 
 #include "util/status.h"
 
@@ -38,6 +39,16 @@ void SetMaxDeserializeCounters(uint64_t cap);
 /// product within MaxDeserializeCounters(). `what` names the record kind
 /// for the error message. Returns INVALID_ARGUMENT on violation.
 Status CheckDeserializeDims(uint64_t rows, uint64_t cols, const char* what);
+
+/// Validates the size of the synopsis a query spec would build. A spec is
+/// as untrusted as a record header (registrations come off the wire), so
+/// its synopsis gets the same cap: the counters, given as a sum of
+/// products (`{{tables, buckets}, {levels, tables, buckets}}`), must be
+/// free of uint64 overflow and within MaxDeserializeCounters(). `what`
+/// names the synopsis for the error message. INVALID_ARGUMENT on violation.
+Status CheckSpecCounters(
+    std::initializer_list<std::initializer_list<uint64_t>> terms,
+    const char* what);
 
 }  // namespace sketch
 }  // namespace skimjoin

@@ -1,6 +1,7 @@
 #include "stream/generators.h"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 
 #include "util/logging.h"
@@ -36,22 +37,12 @@ FrequencyVector UniformDistribution::ExpectedFrequencies(
   return result;
 }
 
-namespace {
-
-bool IsPowerOfTwo(uint64_t x) { return x != 0 && (x & (x - 1)) == 0; }
-
-uint64_t Log2(uint64_t x) {
-  uint64_t log = 0;
-  while ((uint64_t{1} << log) < x) ++log;
-  return log;
-}
-
-}  // namespace
-
 SelfSimilarDistribution::SelfSimilarDistribution(uint64_t domain_size,
                                                  double bias)
-    : domain_size_(domain_size), bias_(bias), levels_(Log2(domain_size)) {
-  SKIMJOIN_CHECK(IsPowerOfTwo(domain_size) && domain_size >= 2)
+    : domain_size_(domain_size),
+      bias_(bias),
+      levels_(std::bit_width(domain_size - 1)) {
+  SKIMJOIN_CHECK(std::has_single_bit(domain_size) && domain_size >= 2)
       << "self-similar distributions need a power-of-two domain";
   SKIMJOIN_CHECK(bias >= 0.5 && bias < 1.0) << "bias must be in [0.5, 1)";
 }

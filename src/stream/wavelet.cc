@@ -1,6 +1,7 @@
 #include "stream/wavelet.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -11,14 +12,6 @@ namespace skimjoin {
 namespace stream {
 
 namespace {
-
-bool IsPowerOfTwo(uint64_t x) { return x != 0 && (x & (x - 1)) == 0; }
-
-uint64_t Log2(uint64_t x) {
-  uint64_t log = 0;
-  while ((uint64_t{1} << log) < x) ++log;
-  return log;
-}
 
 // Depth of heap-numbered node j >= 1 (root j=1 has depth 0).
 uint64_t DepthOf(uint64_t j) {
@@ -37,10 +30,10 @@ uint64_t Overlap(uint64_t lo, uint64_t hi, uint64_t start, uint64_t len) {
 }  // namespace
 
 WaveletSynopsis::WaveletSynopsis(uint64_t domain_size)
-    : domain_size_(domain_size), levels_(Log2(domain_size)) {}
+    : domain_size_(domain_size), levels_(std::bit_width(domain_size - 1)) {}
 
 StatusOr<WaveletSynopsis> WaveletSynopsis::Create(uint64_t domain_size) {
-  if (!IsPowerOfTwo(domain_size) || domain_size < 2) {
+  if (!std::has_single_bit(domain_size) || domain_size < 2) {
     return InvalidArgumentError(
         "wavelet synopses require a power-of-two domain size >= 2");
   }

@@ -403,6 +403,34 @@ TEST(CoordinatorTest, RejectedRegistrationIsNotReplayedAfterRestart) {
   EXPECT_GT(coordinator.ShardStatuses()[0].incarnation, 1u);
 }
 
+// A worker builds what kRegisterQuery asks for; a spec past the counter
+// cap is refused there (it used to kill the worker with SIGFPE) and the
+// worker keeps serving.
+TEST(CoordinatorTest, OversizedRegistrationIsRefusedByTheWorker) {
+  const std::string socket = ::testing::TempDir() + "/coord_oversized.sock";
+  WorkerHarness worker(MakeWorkerOptions(socket, "s0"));
+  Coordinator coordinator({{"s0", socket}}, FastOptions());
+  ASSERT_TRUE(coordinator.RegisterStream({"f", 1u << 16}).ok());
+
+  query::FrequencyQuerySpec oversized;
+  oversized.stream = "f";
+  oversized.space_counters = uint64_t{1} << 63;
+  oversized.num_tables = uint64_t{1} << 62;
+  const StatusOr<query::QueryId> refused =
+      coordinator.AddFrequencyQuery(oversized, 3);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_NE(refused.status().message().find("cap"), std::string::npos)
+      << refused.status();
+
+  query::FrequencyQuerySpec valid;
+  valid.stream = "f";
+  const StatusOr<query::QueryId> accepted =
+      coordinator.AddFrequencyQuery(valid, 3);
+  ASSERT_TRUE(accepted.ok()) << accepted.status();
+  ASSERT_TRUE(coordinator.UpdateBatch("f", Workload(5, 100)).ok());
+  EXPECT_TRUE(coordinator.AnswerPointFrequency(*accepted, 1).ok());
+}
+
 TEST(CoordinatorTest, ChainJoinMergedAnswerIsBitIdenticalToLocalEngine) {
   for (query::ChainJoinQuerySpec::Method method :
        {query::ChainJoinQuerySpec::Method::kAgmsGrid,

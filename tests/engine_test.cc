@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "gtest/gtest.h"
+#include "sketch/serial_limits.h"
 #include "stream/zipf.h"
 
 namespace skimjoin {
@@ -473,6 +474,82 @@ TEST(EngineTest, FrequencyQueryHonorsPredicate) {
   }
   EXPECT_NEAR(*engine.AnswerPointFrequency(*query, 150), 50, 10);
   EXPECT_NEAR(*engine.AnswerPointFrequency(*query, 300), 0, 10);
+}
+
+// A registration spec is as untrusted as a record header: whatever its
+// kind, a synopsis past the deserialization counter cap (or whose size
+// arithmetic overflows) is refused before anything is allocated.
+TEST(EngineTest, OversizedSpecsAreRejectedForEveryKind) {
+  Engine engine;
+  ASSERT_TRUE(engine.RegisterStream(Packets()).ok());
+  ASSERT_TRUE(engine.RegisterStream(Flows()).ok());
+  for (const char* relation : {"a", "c"}) {
+    ASSERT_TRUE(engine.RegisterRelation({relation, 1, 64}).ok());
+  }
+  ASSERT_TRUE(engine.RegisterRelation({"b", 2, 64}).ok());
+  constexpr uint64_t kHuge = uint64_t{1} << 40;
+
+  std::vector<QuerySpec> specs;
+  // 2 * num_tables * levels wraps to 0 here: a division by zero before the
+  // cap existed.
+  FrequencyQuerySpec frequency;
+  frequency.stream = "packets";
+  frequency.space_counters = uint64_t{1} << 63;
+  frequency.num_tables = uint64_t{1} << 62;
+  specs.push_back(frequency);
+  JoinQuerySpec dyadic = BasicJoinSpec();
+  dyadic.estimator.skimmed_use_dyadic = true;
+  dyadic.estimator.space_counters = uint64_t{1} << 63;
+  dyadic.estimator.num_tables = uint64_t{1} << 62;
+  specs.push_back(dyadic);
+  for (const core::EstimatorKind kind :
+       {core::EstimatorKind::kAgms, core::EstimatorKind::kHashSketch,
+        core::EstimatorKind::kCountMin, core::EstimatorKind::kSampling}) {
+    JoinQuerySpec join = BasicJoinSpec();
+    join.estimator.kind = kind;
+    join.estimator.space_counters = kHuge;
+    specs.push_back(join);
+  }
+  TopKQuerySpec top_k;
+  top_k.stream = "packets";
+  top_k.space_counters = kHuge;
+  specs.push_back(top_k);
+  top_k.space_counters = TopKQuerySpec{}.space_counters;
+  top_k.k = kHuge;
+  specs.push_back(top_k);
+  DistinctCountQuerySpec distinct;
+  distinct.stream = "packets";
+  distinct.num_maps = uint64_t{1} << 60;  // x 64 positions overflows
+  specs.push_back(distinct);
+  ChainJoinQuerySpec chain;
+  chain.relations = {"a", "b", "c"};
+  chain.num_buckets = uint64_t{1} << 20;  // 2^40 counters per middle table
+  specs.push_back(chain);
+  chain.method = ChainJoinQuerySpec::Method::kAgmsGrid;
+  chain.num_means = kHuge;
+  specs.push_back(chain);
+
+  for (size_t i = 0; i < specs.size(); ++i) {
+    const StatusOr<QueryId> query = engine.AddQuery(specs[i], 1);
+    EXPECT_EQ(query.status().code(), StatusCode::kInvalidArgument)
+        << "spec " << i << ": " << query.status();
+  }
+  EXPECT_EQ(engine.num_queries(), 0u);
+
+  // The cap is the deserialization cap, and it counts every counter.
+  sketch::SetMaxDeserializeCounters(1000);
+  FrequencyQuerySpec flat;
+  flat.stream = "packets";
+  flat.use_dyadic = false;
+  flat.space_counters = 7 * 128;
+  EXPECT_TRUE(engine.AddQuery(flat, 1).ok());
+  flat.space_counters = 7 * 256;
+  EXPECT_EQ(engine.AddQuery(flat, 1).status().code(),
+            StatusCode::kInvalidArgument);
+  sketch::SetMaxDeserializeCounters(0);
+  frequency = FrequencyQuerySpec();
+  frequency.stream = "packets";
+  EXPECT_TRUE(engine.AddQuery(frequency, 1).ok());
 }
 
 }  // namespace

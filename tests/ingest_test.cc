@@ -1,9 +1,9 @@
 // Tests for the batched / sharded ingestion pipeline: UpdateBatch must be
 // counter-for-counter identical to scalar Update on every synopsis type,
-// ParallelIngestor must reproduce the sequential result exactly at any
-// shard count (linearity makes the parallelism lossless), and the engine
-// batch entry point must answer queries identically to element-wise
-// feeding while tracking ingest counters.
+// the replica ingestor's drop accounting must stay consistent, and the
+// engine batch entry point must answer queries identically to element-wise
+// feeding at any shard count (linearity makes the parallelism lossless)
+// while tracking ingest counters.
 
 #include <cstdint>
 #include <functional>
@@ -17,7 +17,7 @@
 
 #include "core/skimmed_sketch.h"
 #include "gtest/gtest.h"
-#include "ingest/parallel_ingestor.h"
+#include "ingest/concurrent_ingestor.h"
 #include "query/engine.h"
 #include "sketch/agms_sketch.h"
 #include "sketch/count_min_sketch.h"
@@ -134,70 +134,19 @@ TEST(UpdateBatchTest, ResetReturnsToFreshState) {
   EXPECT_EQ(Serialized(fresh), Serialized(used));
 }
 
-TEST(ParallelIngestorTest, RejectsZeroShards) {
-  auto proto = *sketch::HashSketch::Create({5, 64}, 1);
-  EXPECT_FALSE(
-      ingest::ParallelIngestor<sketch::HashSketch>::Create(proto, 0).ok());
-}
-
-TEST(ParallelIngestorTest, MatchesSequentialAtAnyShardCount) {
-  const auto elements = MixedStream(60000, 1u << 12, 23);
-  core::SkimmedSketchConfig config;
-  config.domain_size = 1u << 12;
-  config.num_buckets = 128;
-  config.dyadic_num_buckets = 32;
-
-  auto sequential = *core::SkimmedSketch::Create(config, 7);
-  for (const StreamElement& element : elements) sequential.Update(element);
-  const std::string expected = Serialized(sequential);
-
-  for (uint64_t shards : {1u, 2u, 3u, 4u, 8u}) {
-    auto master = *core::SkimmedSketch::Create(config, 7);
-    auto ingestor =
-        *ingest::ParallelIngestor<core::SkimmedSketch>::Create(master, shards);
-    ingestor.IngestInto(&master, elements);
-    EXPECT_EQ(Serialized(master), expected) << shards << " shards";
-  }
-}
-
-TEST(ParallelIngestorTest, MultipleBatchesAccumulateAcrossFlushes) {
-  const auto elements = MixedStream(40000, 1u << 10, 29);
-  auto sequential = *sketch::HashSketch::Create({7, 256}, 1);
-  for (const StreamElement& element : elements) sequential.Update(element);
-
-  auto master = *sketch::HashSketch::Create({7, 256}, 1);
-  auto ingestor =
-      *ingest::ParallelIngestor<sketch::HashSketch>::Create(master, 4);
-  const std::span<const StreamElement> all(elements);
-  // Two absorbs per flush, two flushes: replicas must reset cleanly between
-  // flushes or counters would double.
-  ingestor.AbsorbBatch(all.subspan(0, 10000));
-  ingestor.AbsorbBatch(all.subspan(10000, 10000));
-  ingestor.FlushInto(&master);
-  ingestor.AbsorbBatch(all.subspan(20000, 20000));
-  ingestor.FlushInto(&master);
-  EXPECT_EQ(Serialized(master), Serialized(sequential));
-
-  const ingest::IngestStats& stats = ingestor.stats();
-  EXPECT_EQ(stats.elements_absorbed, 40000u);
-  EXPECT_EQ(stats.batches, 3u);
-  EXPECT_EQ(stats.merges, 2u);
-  EXPECT_FALSE(stats.ToString().empty());
-}
-
-TEST(ParallelIngestorTest, FoldsReplicaDropCountsIntoStats) {
+TEST(ReplicaIngestTest, FoldsReplicaDropCountsIntoStats) {
   core::SkimmedSketchConfig config;
   config.domain_size = 1u << 8;
   config.num_buckets = 64;
   auto master = *core::SkimmedSketch::Create(config, 3);
   auto ingestor =
-      *ingest::ParallelIngestor<core::SkimmedSketch>::Create(master, 2);
+      *ingest::ConcurrentIngestor<core::SkimmedSketch>::Create(&master);
   std::vector<StreamElement> elements(20000, StreamElement{1, 1});
   elements[7].value = 1u << 9;    // out of domain
   elements[19999].value = 1u << 10;  // out of domain
-  ingestor.IngestInto(&master, elements);
-  EXPECT_EQ(ingestor.stats().elements_dropped, 2u);
-  EXPECT_EQ(ingestor.stats().elements_absorbed, 19998u);
+  ingestor->IngestBatch(elements);
+  EXPECT_EQ(ingestor->stats().elements_dropped, 2u);
+  EXPECT_EQ(ingestor->stats().elements_absorbed, 19998u);
   EXPECT_EQ(master.EstimatePointFrequency(1), 19998);
   EXPECT_EQ(master.dropped_updates(), 0u);  // drops stayed in the replicas
 }
@@ -231,24 +180,26 @@ class StickyDropSynopsis {
 // Regression: replica drop counts larger than the ingestor's own absorbed
 // tally used to underflow stats_.elements_absorbed (unsigned) to ~2^64.
 // The subtraction must saturate at zero instead.
-TEST(ParallelIngestorTest, FlushSaturatesAbsorbedWhenReplicaDropsExceedIt) {
-  StickyDropSynopsis prototype;
-  // Pre-existing drops on the prototype survive Create's replica Reset, so
-  // the first flush sees 2 shards x 3 drops against 0 absorbed elements.
+TEST(ReplicaIngestTest, FlushSaturatesAbsorbedWhenReplicaDropsExceedIt) {
+  StickyDropSynopsis shared;
+  // Pre-existing drops on the shared synopsis survive the replicas' Reset,
+  // so the flush sees 3 drops against 2 absorbed elements.
   const std::vector<StreamElement> out_of_range = {{99, 1}, {99, 1}, {99, 1}};
-  prototype.UpdateBatch(out_of_range);
-  ASSERT_EQ(prototype.dropped_updates(), 3u);
+  shared.UpdateBatch(out_of_range);
+  ASSERT_EQ(shared.dropped_updates(), 3u);
 
-  auto ingestor =
-      ingest::ParallelIngestor<StickyDropSynopsis>::Create(prototype, 2);
+  auto ingestor = ingest::ConcurrentIngestor<StickyDropSynopsis>::Create(
+      &shared, {.num_workers = 2});
   ASSERT_TRUE(ingestor.ok());
-  StickyDropSynopsis master;
-  ingestor->FlushInto(&master);
+  // Too small to split: the whole batch lands on one replica.
+  const std::vector<StreamElement> in_range = {{1, 1}, {2, 1}};
+  (*ingestor)->AbsorbBatch(in_range);
+  (*ingestor)->Flush();
 
-  const ingest::IngestStats& stats = ingestor->stats();
+  const ingest::IngestStats& stats = (*ingestor)->stats();
   EXPECT_EQ(stats.elements_absorbed, 0u);  // saturated, not ~2^64
-  EXPECT_EQ(stats.elements_dropped, 6u);
-  EXPECT_EQ(master.total(), 0);
+  EXPECT_EQ(stats.elements_dropped, 3u);
+  EXPECT_EQ(shared.total(), 2);
 }
 
 // Every answer a query of any kind gives, rendered at full precision, so
@@ -307,6 +258,11 @@ TEST(EngineBatchTest, UpdateBatchMatchesScalarUpdates) {
       return engine->AddJoinQuery(spec, 5);
     };
   };
+  const AddQuery frequency = [](Engine* engine) {
+    query::FrequencyQuerySpec spec;
+    spec.stream = "f";
+    return engine->AddFrequencyQuery(spec, 5);
+  };
   struct Case {
     std::string name;
     AddQuery add;
@@ -344,11 +300,7 @@ TEST(EngineBatchTest, UpdateBatchMatchesScalarUpdates) {
          spec.estimator.kind = core::EstimatorKind::kSkimmedSketch;
          return engine->AddSelfJoinQuery(spec, 5);
        }},
-      {"frequency", [](Engine* engine) {
-         query::FrequencyQuerySpec spec;
-         spec.stream = "f";
-         return engine->AddFrequencyQuery(spec, 5);
-       }},
+      {"frequency", frequency},
       {"frequency, 2 shards",
        [](Engine* engine) {
          query::FrequencyQuerySpec spec;
@@ -357,6 +309,9 @@ TEST(EngineBatchTest, UpdateBatchMatchesScalarUpdates) {
          return engine->AddFrequencyQuery(spec, 5);
        },
        2},
+      {"frequency, 3 shards", frequency, 3},
+      {"frequency, 4 shards", frequency, 4},
+      {"frequency, 8 shards", frequency, 8},
       {"distinct", [](Engine* engine) {
          return engine->AddDistinctCountQuery(
              {.stream = "f", .predicate = {}}, 5);
@@ -406,6 +361,10 @@ TEST(EngineBatchTest, UpdateBatchMatchesScalarUpdates) {
           SKIMJOIN_CHECK_OK(engine->UpdateBatch("f", f.subspan(start, half)));
           SKIMJOIN_CHECK_OK(engine->UpdateBatch("g", g.subspan(start, half)));
         }
+        // Every batch went through the workers and merged back once.
+        if (test_case.shards > 1) {
+          EXPECT_EQ(engine->StreamIngestStats("f")->merges, 2u);
+        }
       } else {
         for (size_t i = 0; i < f_updates.size(); ++i) {
           SKIMJOIN_CHECK_OK(engine->Update("f", f_updates[i]));
@@ -423,6 +382,36 @@ TEST(EngineBatchTest, UpdateBatchMatchesScalarUpdates) {
     EXPECT_EQ(scalar, batched);
     EXPECT_FALSE(std::get<2>(scalar).empty());
   }
+}
+
+// Synchronous sharding: a batch too small to fill two chunks folds in
+// inline with no replica merge; a larger one is absorbed by the workers and
+// merged back before UpdateBatch returns.
+TEST(EngineBatchTest, ShardedBatchesBelowTheFloorSkipTheMerge) {
+  query::Engine engine;
+  ASSERT_TRUE(engine.RegisterStream({"s", 1u << 12}).ok());
+  query::Engine::IngestOptions options;
+  options.shards = 2;
+  ASSERT_TRUE(engine.SetIngestOptions(options).ok());
+  query::FrequencyQuerySpec freq;
+  freq.stream = "s";
+  ASSERT_TRUE(engine.AddFrequencyQuery(freq, 1).ok());
+  std::vector<query::StreamUpdate> updates;
+  for (const StreamElement& element :
+       MixedStream(2 * ingest::kMinChunkElements, 1u << 12, 41)) {
+    updates.push_back({element.value, element.weight, 0});
+  }
+  const std::span<const query::StreamUpdate> all(updates);
+
+  ASSERT_TRUE(engine.UpdateBatch("s", all.first(all.size() - 1)).ok());
+  const ingest::IngestStats small = *engine.StreamIngestStats("s");
+  EXPECT_EQ(small.merges, 0u);
+  EXPECT_EQ(small.absorb_nanos, 0u);
+
+  ASSERT_TRUE(engine.UpdateBatch("s", all).ok());
+  const ingest::IngestStats large = *engine.StreamIngestStats("s");
+  EXPECT_EQ(large.merges, 1u);
+  EXPECT_GT(large.absorb_nanos, small.absorb_nanos);
 }
 
 TEST(EngineBatchTest, DropsOutOfDomainAndCountsThem) {

@@ -246,6 +246,32 @@ TEST(QueryCacheTest, FlushIngestDropsAnswersCachedFromALaggingSnapshot) {
   EXPECT_EQ(*flushed, *reference);
 }
 
+// Synchronous sharded ingest merges every batch before UpdateBatch returns,
+// so FlushIngest has nothing to linearize and keeps the cached answers.
+TEST(QueryCacheTest, FlushIngestKeepsAnswersCachedUnderSynchronousSharding) {
+  std::vector<StreamUpdate> updates;
+  Rng rng(2025);
+  for (int i = 0; i < 20000; ++i) {
+    updates.push_back({rng.NextUint64Below(64), 1, 0});
+  }
+  Engine engine;
+  ASSERT_TRUE(engine.RegisterStream(Packets()).ok());
+  ASSERT_TRUE(engine.AddFrequencyQuery(BasicFreqSpec(), 13).ok());
+  engine.SetReadPathOptions(CacheOn());
+  Engine::IngestOptions options;
+  options.shards = 2;
+  ASSERT_TRUE(engine.SetIngestOptions(options).ok());
+  ASSERT_TRUE(engine.UpdateBatch("packets", updates).ok());
+  ASSERT_EQ(engine.StreamIngestStats("packets")->merges, 1u);
+
+  const StatusOr<int64_t> before = engine.AnswerPointFrequency(1, 1);
+  engine.FlushIngest();
+  const StatusOr<int64_t> after = engine.AnswerPointFrequency(1, 1);
+  ASSERT_TRUE(before.ok() && after.ok());
+  EXPECT_EQ(*before, *after);
+  EXPECT_EQ(engine.QueryCacheStatsFor(1)->hits, 1u);
+}
+
 TEST(QueryCacheTest, SurvivesCheckpointRestoreWithCacheDropped) {
   const std::string path = ::testing::TempDir() + "query_cache_restore_ckpt";
   Engine original;

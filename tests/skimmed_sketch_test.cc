@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <sstream>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "sketch/agms_sketch.h"
+#include "sketch/kernel_options.h"
 #include "stream/exact.h"
 #include "stream/zipf.h"
 #include "util/random.h"
@@ -71,6 +73,25 @@ TEST(SkimmedSketchTest, CreateValidatesConfig) {
   config = BaseConfig();
   config.domain_size = 1000;
   EXPECT_TRUE(SkimmedSketch::Create(config, 1).ok());
+}
+
+// Each dyadic level's plan cache is clamped to the level's prefix count as
+// soon as the sketch exists, created or deserialized — not only once
+// SetKernelOptions runs.
+TEST(SkimmedSketchTest, DyadicPlanCachesAreClampedAtConstruction) {
+  SkimmedSketchConfig config;
+  config.domain_size = 1u << 16;
+  config.num_buckets = 292;
+  config.dyadic_num_buckets = 18;
+  SkimmedSketch built = *SkimmedSketch::Create(config, 4);
+  SkimmedSketch reset = built;
+  reset.SetKernelOptions(sketch::KernelOptions{});
+  EXPECT_EQ(built.MemoryBytes(), reset.MemoryBytes());
+
+  std::stringstream record;
+  ASSERT_TRUE(built.SerializeTo(record).ok());
+  const SkimmedSketch restored = *SkimmedSketch::DeserializeFrom(record);
+  EXPECT_EQ(restored.MemoryBytes(), reset.MemoryBytes());
 }
 
 TEST(SkimmedSketchTest, EmptySketchEstimatesZeroJoin) {
