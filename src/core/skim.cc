@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <numeric>
 
 #include "util/logging.h"
 #include "util/stats.h"
@@ -21,19 +22,64 @@ int64_t LookupDense(const DenseFrequencies& dense, uint64_t value) {
 
 namespace {
 
-// Shared extraction step: estimate `value`, and if dense, record it and
-// subtract it from the sketch (Fig. 3 steps 6, 8–9). A positive `margin`
-// holds that much of the estimate back (Theorem 4's conservative skim).
-void MaybeSkimValue(sketch::HashSketch* sketch, uint64_t value,
-                    int64_t threshold, int64_t margin,
-                    DenseFrequencies* out) {
-  const int64_t estimate = sketch->PointEstimate(value);
-  if (std::llabs(estimate) < threshold) return;
-  const int64_t magnitude = std::llabs(estimate) - margin;
-  if (magnitude <= 0) return;
-  const int64_t skimmed = estimate >= 0 ? magnitude : -magnitude;
-  out->emplace_back(value, skimmed);
-  sketch->Update(value, -skimmed);
+// Step 2 of the block kernel: passes[i], for i in [from, n), counts the
+// tables whose counter at values[i]'s bucket has |C| >= threshold. Since
+// |ξ·C| = |C|, no sign hash is needed. Table-major, so each counter row is
+// walked once per block.
+void CountPassingTables(const sketch::HashSketch& sketch,
+                        const uint64_t* buckets, size_t n, size_t from,
+                        int64_t threshold, uint64_t* passes) {
+  const uint64_t num_buckets = sketch.config().num_buckets;
+  const int64_t* row = sketch.CounterArray().data();
+  std::fill(passes + from, passes + n, 0);
+  for (uint64_t table = 0; table < sketch.config().num_tables; ++table) {
+    const uint64_t* bucket = buckets + table * n;
+    for (size_t i = from; i < n; ++i) {
+      const int64_t counter = row[bucket[i]];
+      passes[i] += (counter >= threshold) | (counter <= -threshold);
+    }
+    row += num_buckets;
+  }
+}
+
+// The one SKIMDENSE kernel (Fig. 3 steps 5–9) over one block of ascending
+// values; see skim.h for why it matches the per-value loop bit for bit.
+void SkimBlock(sketch::HashSketch* sketch, const uint64_t* values, size_t n,
+               int64_t threshold, int64_t margin, DenseFrequencies* out) {
+  const uint64_t tables = sketch->config().num_tables;
+  const hashing::SimdLevel level = sketch->kernel_options().use_simd
+                                       ? hashing::DetectSimdLevel()
+                                       : hashing::SimdLevel::kScalar;
+  // One block × num_tables of scratch, thread_local like the batch kernels'.
+  static thread_local std::vector<uint64_t> buckets;
+  static thread_local std::vector<uint64_t> passes;
+  buckets.resize(n * tables);
+  passes.resize(n);
+  for (uint64_t table = 0; table < tables; ++table) {
+    sketch->BucketBlock(table, values, n, &buckets[table * n], level);
+  }
+  // |median| >= T needs at least ceil(s/2) tables with |C| >= T.
+  const uint64_t needed = tables - tables / 2;
+  CountPassingTables(*sketch, buckets.data(), n, 0, threshold, passes.data());
+  for (size_t i = 0; i < n; ++i) {
+    if (passes[i] < needed) continue;
+    const int64_t estimate = sketch->PointEstimate(values[i]);
+    if (std::llabs(estimate) < threshold) continue;
+    // A positive `margin` holds that much of the estimate back (Theorem 4's
+    // conservative skim).
+    const int64_t magnitude = std::llabs(estimate) - margin;
+    if (magnitude <= 0) continue;
+    const int64_t skimmed = estimate >= 0 ? magnitude : -magnitude;
+    out->emplace_back(values[i], skimmed);
+    sketch->Update(values[i], -skimmed);
+    // Later values must see the subtraction, as in the per-value loop.
+    CountPassingTables(*sketch, buckets.data(), n, i + 1, threshold,
+                       passes.data());
+  }
+}
+
+size_t SkimBlockSize(const sketch::HashSketch& sketch) {
+  return std::max<uint64_t>(1, sketch.kernel_options().batch_block_size);
 }
 
 }  // namespace
@@ -44,9 +90,14 @@ DenseFrequencies SkimDenseNaive(sketch::HashSketch* sketch,
   SKIMJOIN_CHECK(sketch != nullptr);
   SKIMJOIN_CHECK_GE(threshold, 1);
   SKIMJOIN_CHECK_GE(margin, 0);
+  const size_t block = SkimBlockSize(*sketch);
+  static thread_local std::vector<uint64_t> values;
   DenseFrequencies dense;
-  for (uint64_t value = 0; value < domain_size; ++value) {
-    MaybeSkimValue(sketch, value, threshold, margin, &dense);
+  for (uint64_t begin = 0; begin < domain_size; begin += block) {
+    const size_t n = std::min<uint64_t>(block, domain_size - begin);
+    values.resize(n);
+    std::iota(values.begin(), values.end(), begin);
+    SkimBlock(sketch, values.data(), n, threshold, margin, &dense);
   }
   return dense;  // domain scan emits values in sorted order already
 }
@@ -60,9 +111,11 @@ DenseFrequencies SkimDenseCandidates(sketch::HashSketch* sketch,
   std::vector<uint64_t> unique = candidates;
   std::sort(unique.begin(), unique.end());
   unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
+  const size_t block = SkimBlockSize(*sketch);
   DenseFrequencies dense;
-  for (uint64_t value : unique) {
-    MaybeSkimValue(sketch, value, threshold, margin, &dense);
+  for (size_t begin = 0; begin < unique.size(); begin += block) {
+    SkimBlock(sketch, &unique[begin], std::min(block, unique.size() - begin),
+              threshold, margin, &dense);
   }
   return dense;
 }

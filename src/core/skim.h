@@ -37,6 +37,18 @@ int64_t LookupDense(const DenseFrequencies& dense, uint64_t value);
 /// O(domain_size · num_tables) time — the dyadic variant in dyadic_skim.h
 /// avoids the domain scan. Pre-conditions: threshold >= 1, margin >= 0.
 ///
+/// Both entry points run one block kernel, bit-identical to estimating and
+/// skimming value by value in ascending order. Per block of
+/// KernelOptions::batch_block_size values it evaluates only the bucket
+/// hashes (SIMD block kernels under KernelOptions::use_simd) and counts, per
+/// value, the tables with |C[j][h_j(v)]| >= threshold. Since |ξ·C| = |C|
+/// and the median of s estimates has magnitude >= T only if at least
+/// ceil(s/2) of them do (for even s the truncated midpoint lies between the
+/// two central values), a value below that count cannot be dense. Only the
+/// survivors take the exact PointEstimate. After each skim the rest of the
+/// block is recounted from the updated counters, so every later value sees
+/// the subtraction exactly as the per-value loop does.
+///
 /// Extraction triggers on |estimate| so that net-negative heavy values
 /// (delete-dominated streams) are skimmed too; for insert-only streams this
 /// matches the paper's est >= T rule.

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -293,8 +294,11 @@ StatusOr<JoinEstimateBreakdown> SkimmedSketch::EstimateDetailedImpl(
         "skimmed-sketch join estimation requires sketches with equal "
         "configuration and seed");
   }
-  SkimOutput skim_f = f.Skim();
-  SkimOutput skim_g = g.Skim();
+  // A self-join (f and g the same sketch) skims once and uses it twice.
+  const SkimOutput skim_f = f.Skim();
+  std::optional<SkimOutput> skim_g_storage;
+  const SkimOutput& skim_g =
+      &f == &g ? skim_f : skim_g_storage.emplace(g.Skim());
 
   SubJoinTables sub_joins;
   JoinEstimateBreakdown breakdown =

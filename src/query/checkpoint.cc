@@ -13,7 +13,7 @@
 //   nextid <next_query_id>
 //   streams <count>
 //     <name> <domain> <element_count> <absorbed> <batches> <dropped>
-//       <merges> <absorb_nanos> <merge_nanos>
+//       <merges> <absorb_nanos> <merge_nanos>   (both timings written as 0)
 //   relations <count>
 //     <name> <arity> <domain> <tuple_count>
 //   queries <count>
@@ -24,7 +24,10 @@
 // The metrics block snapshots every COUNTER in the engine's registry
 // (names percent-encoded) so a restored engine keeps its cumulative
 // counts; gauges and histograms are derived/monitoring state and are
-// rebuilt live. v1 manifests (no metrics block) still restore.
+// rebuilt live. The streams' wall-clock `absorb_nanos`/`merge_nanos`
+// timings are not saved, so a checkpoint is a pure function of the
+// engine's inputs; files that carry them still restore them. v1 manifests
+// (no metrics block) still restore.
 // Query ids are strictly ascending. `supported` is 0 for kinds whose
 // synopses cannot be serialized (sampling / partitioned-AGMS join
 // estimators, chain joins); those queries get no "query:<id>" section but
@@ -254,7 +257,7 @@ Status Engine::SaveCheckpoint(
     manifest << PercentEncode(s.spec.name) << ' ' << s.spec.domain_size << ' '
              << s.element_count << ' ' << st.elements_absorbed << ' '
              << st.batches << ' ' << st.elements_dropped << ' ' << st.merges
-             << ' ' << st.absorb_nanos << ' ' << st.merge_nanos << '\n';
+             << " 0 0\n";  // wall-clock absorb/merge timings: see below
   }
   manifest << "relations " << relations_.size() << '\n';
   for (const RelationState& r : relations_) {
@@ -270,7 +273,15 @@ Status Engine::SaveCheckpoint(
   }
   // Counters only: they carry cumulative history a restored engine cannot
   // recompute. Gauges and histograms are monitoring views rebuilt live.
-  const metrics::Snapshot metrics_snapshot = metrics_.TakeSnapshot();
+  // The streams' wall-clock absorb/merge timings are left out, and zeroed
+  // on the stream lines above, so identically fed engines write identical
+  // files.
+  metrics::Snapshot metrics_snapshot = metrics_.TakeSnapshot();
+  std::erase_if(metrics_snapshot.counters, [](const auto& counter) {
+    const std::string& name = counter.first;
+    return name.starts_with("ingest.") && (name.ends_with(".absorb_nanos") ||
+                                           name.ends_with(".merge_nanos"));
+  });
   manifest << "metrics " << metrics_snapshot.counters.size() << '\n';
   for (const auto& [name, value] : metrics_snapshot.counters) {
     manifest << PercentEncode(name) << ' ' << value << '\n';

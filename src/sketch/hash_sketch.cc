@@ -59,26 +59,33 @@ void HashSketch::FillPlan(uint64_t value, uint32_t* plan) const {
 void HashSketch::FillPlansBlock(const uint64_t* values, size_t n,
                                 uint32_t* plans,
                                 hashing::SimdLevel level) const {
-  // Per-table scratch for the raw field residues; thread_local for the same
-  // reasons as the blocked kernel's plan scratch.
+  // Per-table scratch for the buckets and the raw sign residues;
+  // thread_local for the same reasons as the blocked kernel's plan scratch.
   static thread_local std::vector<uint64_t> bucket_scratch;
   static thread_local std::vector<uint64_t> sign_scratch;
   bucket_scratch.resize(n);
   sign_scratch.resize(n);
   const uint64_t tables = config_.num_tables;
   for (uint64_t table = 0; table < tables; ++table) {
-    const hashing::BucketHash& bucket = bucket_hashes_[table];
-    hashing::PolyEvalBlock(bucket.poly().coefficients(), values, n,
-                           bucket_scratch.data(), level);
+    BucketBlock(table, values, n, bucket_scratch.data(), level);
     hashing::PolyEvalBlock(sign_hashes_[table].poly().coefficients(), values,
                            n, sign_scratch.data(), level);
     // PackBucketSign by hand: the packed sign bit IS the residue's low bit
     // (ξ(v) = 1 - 2·(h(v) & 1)), so no ±1 materialization is needed.
     for (size_t i = 0; i < n; ++i) {
       plans[i * tables + table] = static_cast<uint32_t>(
-          (bucket.ModReduce(bucket_scratch[i]) << 1) | (sign_scratch[i] & 1));
+          (bucket_scratch[i] << 1) | (sign_scratch[i] & 1));
     }
   }
+}
+
+void HashSketch::BucketBlock(uint64_t table, const uint64_t* values, size_t n,
+                             uint64_t* buckets,
+                             hashing::SimdLevel level) const {
+  const hashing::BucketHash& hash = bucket_hashes_[table];
+  hashing::PolyEvalBlock(hash.poly().coefficients(), values, n, buckets,
+                         level);
+  for (size_t i = 0; i < n; ++i) buckets[i] = hash.ModReduce(buckets[i]);
 }
 
 void HashSketch::ApplyPlan(const uint32_t* plan, int64_t weight) {
@@ -276,14 +283,16 @@ void HashSketch::Merge(const HashSketch& other) {
 }
 
 int64_t HashSketch::PointEstimate(uint64_t value) const {
-  std::vector<int64_t> estimates;
-  estimates.reserve(config_.num_tables);
+  // thread_local scratch: no allocation per estimate once warm (SKIMDENSE
+  // calls this for every value that survives its bucket filter).
+  static thread_local std::vector<int64_t> estimates;
+  estimates.resize(config_.num_tables);
   for (uint64_t table = 0; table < config_.num_tables; ++table) {
     const uint64_t bucket = bucket_hashes_[table](value);
-    estimates.push_back(sign_hashes_[table](value) *
-                        counters_[table * config_.num_buckets + bucket]);
+    estimates[table] = sign_hashes_[table](value) *
+                       counters_[table * config_.num_buckets + bucket];
   }
-  return MedianInt64(std::move(estimates));
+  return MedianInt64(estimates);
 }
 
 bool HashSketch::CompatibleWith(const HashSketch& other) const {

@@ -169,6 +169,13 @@ class HashSketch {
     return bucket_hashes_[table](value);
   }
 
+  /// h_table over a whole block: buckets[i] = Bucket(table, values[i]) for
+  /// i in [0, n), the polynomial evaluated with the hashing/simd_hash.h
+  /// block kernels at `level`. The one bucket loop shared by the blocked
+  /// ingest kernel and the SKIMDENSE scan (core/skim.cc).
+  void BucketBlock(uint64_t table, const uint64_t* values, size_t n,
+                   uint64_t* buckets, hashing::SimdLevel level) const;
+
   /// ξ_j(value), in {-1, +1}.
   int64_t Sign(uint64_t table, uint64_t value) const {
     return sign_hashes_[table](value);

@@ -37,14 +37,15 @@ struct KernelOptions {
 
   /// Elements hashed per block before the scatter phase; 256 keeps the
   /// scratch plan array (256 × tables × 8 B ≈ 14 KiB at s=7) inside L1.
+  /// The SKIMDENSE scan blocks its values by the same size.
   uint64_t batch_block_size = 256;
 
-  /// Evaluate the Carter–Wegman polynomials of the blocked batch kernels
-  /// with the SIMD block kernels (hashing/simd_hash.h): AVX-512 or AVX2
-  /// lanes by runtime CPUID dispatch, scalar fallback elsewhere (and under
+  /// Evaluate the Carter–Wegman polynomials of the blocked kernels (batch
+  /// ingest and the SKIMDENSE scan of core/skim.h) with the SIMD block
+  /// kernels (hashing/simd_hash.h): AVX-512 or AVX2 lanes by runtime CPUID
+  /// dispatch, scalar fallback elsewhere (and under
   /// SKIMJOIN_FORCE_SCALAR=1). Lane-for-lane bit-identical to the scalar
-  /// Horner loop; inert unless use_blocked_batch is on (the SIMD path lives
-  /// inside the blocked kernels).
+  /// Horner loop; ingest uses it only when use_blocked_batch is on.
   bool use_simd = true;
 
   /// Everything off: the pre-kernel scalar reference path, kept for

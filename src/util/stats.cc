@@ -45,7 +45,7 @@ double Percentile(std::vector<double> values, double q) {
   return values[lo] + frac * (values[hi] - values[lo]);
 }
 
-int64_t MedianInt64(std::vector<int64_t> values) {
+int64_t MedianInt64(std::span<int64_t> values) {
   SKIMJOIN_CHECK(!values.empty());
   const size_t mid = values.size() / 2;
   std::nth_element(values.begin(), values.begin() + mid, values.end());

@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace skimjoin {
@@ -27,8 +28,9 @@ double StdDev(const std::vector<double>& values);
 double Percentile(std::vector<double> values, double q);
 
 /// Integer median used on counter-valued estimates; averages the two central
-/// elements with rounding toward zero. Pre-condition: !values.empty().
-int64_t MedianInt64(std::vector<int64_t> values);
+/// elements with rounding toward zero. Selects in place, so it reorders
+/// `values` and never allocates. Pre-condition: !values.empty().
+int64_t MedianInt64(std::span<int64_t> values);
 
 }  // namespace skimjoin
 

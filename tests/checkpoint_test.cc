@@ -811,6 +811,37 @@ TEST(CheckpointTest, MetricsCountersRoundTrip) {
   EXPECT_EQ(stats->elements_absorbed, 41u);
 }
 
+// A checkpoint is a function of what the engine was fed, not of when: two
+// engines fed identically write byte-identical files, even though sharded
+// ingest (shards = 2, batches past the inline floor) timed its absorb and
+// merge rounds on the wall clock.
+TEST(CheckpointTest, IdenticallyFedEnginesWriteIdenticalFiles) {
+  std::string bytes[2];
+  for (int run = 0; run < 2; ++run) {
+    Engine engine;
+    ASSERT_TRUE(engine.SetIngestOptions({.shards = 2}).ok());
+    BuildFullEngine(&engine);
+    Rng rng(31);
+    stream::ZipfDistribution zipf(kDomain, 1.0);
+    std::vector<StreamUpdate> batch;
+    for (const stream::StreamElement& e : zipf.GenerateElements(8192, &rng)) {
+      batch.push_back(StreamUpdate{e.value, e.weight, int64_t(e.value % 7)});
+    }
+    ASSERT_TRUE(engine.UpdateBatch("left", batch).ok());
+    ASSERT_TRUE(engine.UpdateBatch("right", batch).ok());
+    const StatusOr<ingest::IngestStats> stats =
+        engine.StreamIngestStats("left");
+    ASSERT_TRUE(stats.ok());
+    ASSERT_GT(stats->merges, 0u) << "the batch skipped the sharded ingestor";
+    ASSERT_GT(stats->absorb_nanos, 0u);
+
+    const std::string path = TempPath("run" + std::to_string(run));
+    ASSERT_TRUE(engine.SaveCheckpoint(path).ok());
+    bytes[run] = ReadAll(path);
+  }
+  EXPECT_EQ(bytes[0], bytes[1]);
+}
+
 }  // namespace
 }  // namespace query
 }  // namespace skimjoin

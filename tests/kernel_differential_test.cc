@@ -2,9 +2,12 @@
 // plan cache, blocked batches — DESIGN.md §10) is bit-identical to the
 // scalar reference path: same counters, same serialized bytes, for every
 // sketch family, across randomized shapes, seeds, batch splits, deletes
-// and out-of-domain values.
+// and out-of-domain values. The blocked SKIMDENSE scan is held to a
+// per-value reference loop the same way.
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <span>
 #include <sstream>
@@ -12,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/skim.h"
 #include "core/skimmed_sketch.h"
 #include "gtest/gtest.h"
 #include "sketch/agms_sketch.h"
@@ -332,6 +336,139 @@ TEST(KernelDifferentialTest, ResetThenReuseStaysBitIdentical) {
   scalar->UpdateBatch(std::span<const StreamElement>(after));
 
   EXPECT_EQ(Serialize(*fast), Serialize(*scalar));
+}
+
+// --- SKIMDENSE --------------------------------------------------------------
+
+// The COUNTSKETCH point estimate, computed independently of
+// HashSketch::PointEstimate: median of ξ_j(v)·C[j][h_j(v)] from a sorted
+// copy, the two central values averaged with truncation toward zero.
+int64_t ReferenceEstimate(const sketch::HashSketch& sketch, uint64_t value) {
+  std::vector<int64_t> estimates;
+  for (uint64_t table = 0; table < sketch.config().num_tables; ++table) {
+    estimates.push_back(sketch.Sign(table, value) *
+                        sketch.Counter(table, sketch.Bucket(table, value)));
+  }
+  std::sort(estimates.begin(), estimates.end());
+  const size_t mid = estimates.size() / 2;
+  if (estimates.size() % 2 == 1) return estimates[mid];
+  return estimates[mid - 1] + (estimates[mid] - estimates[mid - 1]) / 2;
+}
+
+// Fig. 3 as a plain per-value loop over ascending distinct values: estimate,
+// skim |estimate| - margin when |estimate| >= threshold, subtract at once.
+core::DenseFrequencies ReferenceSkim(sketch::HashSketch* sketch,
+                                     std::vector<uint64_t> values,
+                                     int64_t threshold, int64_t margin) {
+  std::sort(values.begin(), values.end());
+  values.erase(std::unique(values.begin(), values.end()), values.end());
+  core::DenseFrequencies dense;
+  for (uint64_t value : values) {
+    const int64_t estimate = ReferenceEstimate(*sketch, value);
+    if (std::llabs(estimate) < threshold) continue;
+    const int64_t magnitude = std::llabs(estimate) - margin;
+    if (magnitude <= 0) continue;
+    const int64_t skimmed = estimate >= 0 ? magnitude : -magnitude;
+    dense.emplace_back(value, skimmed);
+    sketch->Update(value, -skimmed);
+  }
+  return dense;
+}
+
+void ExpectSameSkim(const core::DenseFrequencies& dense,
+                    const sketch::HashSketch& residual,
+                    const core::DenseFrequencies& reference_dense,
+                    const sketch::HashSketch& reference_residual,
+                    const std::string& context) {
+  ASSERT_EQ(dense, reference_dense) << context;
+  const auto counters = residual.CounterArray();
+  const auto reference = reference_residual.CounterArray();
+  ASSERT_TRUE(std::equal(counters.begin(), counters.end(), reference.begin(),
+                         reference.end()))
+      << context << ": residual counters differ";
+}
+
+// Both SKIMDENSE entry points against the per-value loop, in every kernel
+// mode: table counts odd and even (the ceil(s/2) filter bound), thresholds
+// from 1 (a skim almost everywhere, so every block recounts after each
+// subtraction) up to the largest counter, margins, delete-dominated
+// streams, domains below one block and off block multiples (the stress
+// modes' 3-value blocks too), and unsorted candidate lists with
+// duplicates.
+TEST(KernelDifferentialTest, SkimDenseMatchesPerValueLoop) {
+  Rng rng(707);
+  for (uint64_t tables : {1, 2, 7, 8, 21}) {
+    for (bool deletes_dominate : {false, true}) {
+      sketch::HashSketchConfig config;
+      config.num_tables = tables;
+      config.num_buckets = 1 + rng.NextUint64Below(300);
+      const uint64_t seed = rng.NextUint64();
+      // Below one default block (256), or a few blocks plus a remainder.
+      const uint64_t domain = deletes_dominate
+                                  ? 1 + rng.NextUint64Below(255)
+                                  : 257 + rng.NextUint64Below(900);
+      std::vector<StreamElement> elements =
+          MakeWorkload(&rng, domain, 3000, /*include_out_of_domain=*/false);
+      if (deletes_dominate) {
+        for (StreamElement& element : elements) element.weight *= -1;
+      }
+      auto loaded = sketch::HashSketch::Create(config, seed);
+      ASSERT_TRUE(loaded.ok());
+      loaded->UpdateBatch(std::span<const StreamElement>(elements));
+      int64_t largest = 1;
+      for (int64_t counter : loaded->CounterArray()) {
+        largest = std::max<int64_t>(largest, std::llabs(counter));
+      }
+      // Unsorted candidates with duplicates: every hot value twice, then
+      // random draws (which repeat on their own).
+      std::vector<uint64_t> candidates;
+      for (uint64_t value = 0; value < std::min<uint64_t>(domain, 16);
+           ++value) {
+        candidates.push_back(value);
+        candidates.push_back(value);
+      }
+      for (uint64_t i = 0; i < domain / 2; ++i) {
+        candidates.push_back(rng.NextUint64Below(domain));
+      }
+      std::vector<uint64_t> whole_domain(domain);
+      for (uint64_t value = 0; value < domain; ++value) {
+        whole_domain[value] = value;
+      }
+
+      for (int64_t threshold : {int64_t{1}, largest / 4 + 1, largest}) {
+        for (int64_t margin : {int64_t{0}, threshold / 2 + 1}) {
+          sketch::HashSketch naive_ref = *loaded;
+          const core::DenseFrequencies naive_dense =
+              ReferenceSkim(&naive_ref, whole_domain, threshold, margin);
+          sketch::HashSketch cand_ref = *loaded;
+          const core::DenseFrequencies cand_dense =
+              ReferenceSkim(&cand_ref, candidates, threshold, margin);
+          for (const auto& [name, options] : KernelModes()) {
+            const std::string context =
+                "tables=" + std::to_string(tables) +
+                " buckets=" + std::to_string(config.num_buckets) +
+                " domain=" + std::to_string(domain) +
+                " T=" + std::to_string(threshold) +
+                " margin=" + std::to_string(margin) +
+                " deletes=" + std::to_string(deletes_dominate) +
+                " mode=" + name;
+            sketch::HashSketch naive = *loaded;
+            naive.SetKernelOptions(options);
+            const core::DenseFrequencies dense =
+                core::SkimDenseNaive(&naive, domain, threshold, margin);
+            ExpectSameSkim(dense, naive, naive_dense, naive_ref,
+                           "naive " + context);
+            sketch::HashSketch cand = *loaded;
+            cand.SetKernelOptions(options);
+            const core::DenseFrequencies cand_out = core::SkimDenseCandidates(
+                &cand, candidates, threshold, margin);
+            ExpectSameSkim(cand_out, cand, cand_dense, cand_ref,
+                           "candidates " + context);
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

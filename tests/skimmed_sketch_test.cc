@@ -340,6 +340,39 @@ TEST(SkimmedSketchTest, SelfJoinEstimateTracksExact) {
   EXPECT_NEAR(sketch.EstimateSelfJoinSize(), exact, 0.15 * exact);
 }
 
+// A self-join skims its one sketch once and uses the skim for both sides;
+// the answer must be bit-identical to joining against an independent copy
+// (which skims twice), in both skim layouts.
+TEST(SkimmedSketchTest, SelfJoinMatchesJoinAgainstACopyBitForBit) {
+  constexpr uint64_t kDomain = 1u << 10;
+  const FrequencyVector f =
+      stream::ZipfDistribution(kDomain, 1.1).ExpectedFrequencies(30000);
+  for (bool dyadic : {false, true}) {
+    SkimmedSketchConfig config = BaseConfig();
+    config.use_dyadic_skim = dyadic;
+    SkimmedSketch sketch = MustCreate(config, 16);
+    sketch.Absorb(f);
+    const SkimmedSketch copy = sketch;
+
+    const StatusOr<double> against_copy =
+        SkimmedSketch::EstimateJoinSize(sketch, copy);
+    ASSERT_TRUE(against_copy.ok());
+    EXPECT_EQ(sketch.EstimateSelfJoinSize(), *against_copy);
+
+    const StatusOr<EstimateReport> report_copy =
+        SkimmedSketch::EstimateJoinSizeWithReport(sketch, copy);
+    ASSERT_TRUE(report_copy.ok());
+    const EstimateReport self = sketch.EstimateSelfJoinSizeWithReport();
+    EXPECT_EQ(self.estimate, report_copy->estimate);
+    EXPECT_EQ(self.copy_estimates, report_copy->copy_estimates);
+    EXPECT_EQ(self.apriori_bound, report_copy->apriori_bound);
+    ASSERT_TRUE(self.skim.has_value() && report_copy->skim.has_value());
+    EXPECT_EQ(self.skim->dense_count_f, report_copy->skim->dense_count_g);
+    EXPECT_EQ(self.skim->sparse_sparse, report_copy->skim->sparse_sparse);
+    EXPECT_GT(self.skim->dense_count_f, 0u) << "dyadic=" << dyadic;
+  }
+}
+
 TEST(SkimmedSketchTest, UpdateOutsideDomainDropsInsteadOfAborting) {
   SkimmedSketch sketch = MustCreate(BaseConfig(), 15);
   sketch.Update(3, 1);

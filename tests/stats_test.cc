@@ -58,19 +58,22 @@ TEST(PercentileTest, SingleElement) {
   EXPECT_DOUBLE_EQ(Percentile({2.5}, 0.73), 2.5);
 }
 
+// MedianInt64 selects in place; this copies so braced lists can feed it.
+int64_t MedianOf(std::vector<int64_t> values) { return MedianInt64(values); }
+
 TEST(MedianInt64Test, OddCount) {
-  EXPECT_EQ(MedianInt64({9, -2, 5}), 5);
+  EXPECT_EQ(MedianOf({9, -2, 5}), 5);
 }
 
 TEST(MedianInt64Test, EvenCountAveragesTruncating) {
-  EXPECT_EQ(MedianInt64({1, 2, 3, 4}), 2);  // (2+3)/2 truncates toward 2
-  EXPECT_EQ(MedianInt64({2, 4}), 3);
+  EXPECT_EQ(MedianOf({1, 2, 3, 4}), 2);  // (2+3)/2 truncates toward 2
+  EXPECT_EQ(MedianOf({2, 4}), 3);
 }
 
 TEST(MedianInt64Test, LargeMagnitudesDoNotOverflow) {
   const int64_t big = INT64_MAX - 1;
-  EXPECT_EQ(MedianInt64({big, big}), big);
-  EXPECT_EQ(MedianInt64({-big, -big}), -big);
+  EXPECT_EQ(MedianOf({big, big}), big);
+  EXPECT_EQ(MedianOf({-big, -big}), -big);
 }
 
 // Property sweep: Median is invariant under permutation and bounded by
